@@ -84,14 +84,19 @@ def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
 
 @lru_cache(maxsize=None)
 def canonical_weight_form(alg: SemisimpleAlgebra) -> Mat:
-    """Block-diagonal Gram matrix of the fundamental weights in the fixed realizations."""
+    """Block-diagonal Gram matrix of the fundamental weights.
+
+    On each factor (omega_i, omega_j) = (A^-1)_ij l_j / 2, with A the Cartan
+    matrix and l the squared simple-root lengths of the root datum.
+    """
     rank = alg.rank
     rows = [[Q(0)] * rank for _ in range(rank)]
     pos = 0
     for rs in alg.root_systems():
-        for i, a in enumerate(rs.fundamental_weights):
-            for j, b in enumerate(rs.fundamental_weights):
-                rows[pos + i][pos + j] = linalg.dot(a, b)
+        inv = linalg.invert(rs.cartan_matrix)
+        for i in range(rs.rank):
+            for j, l in enumerate(rs.root_lengths):
+                rows[pos + i][pos + j] = inv[i][j] * l / 2
         pos += rs.rank
     return tuple(tuple(r) for r in rows)
 
@@ -137,17 +142,8 @@ class GramData:
 
 def gram_data(fc: FormalCharacter) -> GramData:
     """Canonical-form Gram data over the distinct weights in lexicographic order."""
-    canon = canonical_weight_form(fc.algebra)
+    pair = BilinearForm(fc.algebra, canonical_weight_form(fc.algebra)).pair
     distinct = fc.distinct()
-    rank = fc.algebra.rank
-
-    def pair(v: Coords, w: Coords) -> Fraction:
-        return sum(
-            (Q(v[i]) * sum((canon[i][j] * w[j] for j in range(rank)), Q(0))
-             for i in range(rank)),
-            Q(0),
-        )
-
     matrix = tuple(tuple(pair(v, w) for w in distinct) for v in distinct)
     return GramData(algebra=fc.algebra, weights=distinct, matrix=matrix)
 

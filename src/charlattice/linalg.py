@@ -28,22 +28,6 @@ def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), ZERO)
 
 
-def add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def neg(x: Sequence[Fraction]) -> Vec:
-    return tuple(-a for a in x)
-
-
-def scale(c: Fraction, x: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in x)
-
-
 def matvec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
 
@@ -61,14 +45,23 @@ def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the listed row vectors, by fraction-free-enough Gaussian elimination."""
+def _gauss_jordan(rows: Sequence[Sequence[Fraction]],
+                  ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and its pivot columns.
+
+    Pivots are taken left to right among the first ncols columns (all columns
+    by default), each from the first row at or below the current one with a
+    nonzero entry.  Row i of the result has its pivot in column pivots[i].
+    Elimination stops once every row has a pivot.
+    """
     work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     for c in range(ncols):
+        if len(pivots) == len(work):
+            break
+        r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pivot is None:
             continue
@@ -79,28 +72,22 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+        pivots.append(c)
+    return work, pivots
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of the listed row vectors."""
+    return len(_gauss_jordan(rows)[1])
 
 
 def invert(m: Sequence[Sequence[Fraction]]) -> Mat:
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(m)
-    work = [list(map(Fraction, row)) + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = ONE / work[c][c]
-        work[c] = [inv * x for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    work, pivots = _gauss_jordan(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)], n)
+    if len(pivots) != n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
 
 
@@ -111,30 +98,14 @@ def solve_columns(columns: Sequence[Sequence[Fraction]], target: Sequence[Fracti
     system is underdetermined the free coefficients are set to zero.
     """
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    aug, pivots = _gauss_jordan(
+        [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(len(target))],
+        ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     out = [ZERO] * ncols
-    for row, col in pivots:
-        out[col] = aug[row][ncols]
+    for row, col in zip(aug, pivots):
+        out[col] = row[ncols]
     return tuple(out)
 
 

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .rootsys import (
     Coords,
     RootSystem,
     SimpleType,
     build_root_system,
+    coroot,
     dominant_representative,
+    root_weight,
 )
-
-Q = Fraction
 
 DEFAULT_DIMENSION_BOUND = 100_000
 
@@ -162,18 +160,16 @@ def is_multiplicity_free(fc: FormalCharacter) -> bool:
 
 
 def _factor_dimension(rs: RootSystem, hw: Coords) -> int:
-    lam_rho = tuple(Q(c + 1) for c in hw)  # lambda + rho in fundamental coordinates
-    rho = tuple(Q(1) for _ in hw)
-    num = Q(1)
-    den = Q(1)
-    for beta in rs.positive_roots:
-        u = [linalg.dot(omega, beta) for omega in rs.fundamental_weights]
-        num *= sum((a * b for a, b in zip(lam_rho, u)), Q(0))
-        den *= sum((a * b for a, b in zip(rho, u)), Q(0))
-    dim = num / den
-    if dim.denominator != 1 or dim <= 0:
-        raise AssertionError(f"dimension formula gave {dim} for {rs.stype} {hw}")
-    return int(dim)
+    """Weyl's product of <lambda + rho, beta^vee> / <rho, beta^vee> over beta > 0."""
+    lam_rho = tuple(c + 1 for c in hw)  # lambda + rho in fundamental coordinates
+    num = den = 1
+    for co in rs.positive_coroots:
+        num *= sum(a * b for a, b in zip(lam_rho, co))
+        den *= sum(co)
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
+        raise AssertionError(f"dimension formula gave {num}/{den} for {rs.stype} {hw}")
+    return dim
 
 
 def weyl_dimension(alg: SemisimpleAlgebra, hw: HighestWeight) -> int:
@@ -192,13 +188,20 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
 
     The saturated weight set is generated from the highest weight by walking
     root strings downward; multiplicities are computed on dominant weights
-    only and copied across each Weyl orbit.
+    only and copied across each Weyl orbit.  Both sides of the recursion are
+    cleared to integers with the doubled form: for a weight v and a root
+    beta = sum c_k alpha_k, 2(v, beta) = sum_k v_k c_k l_k, and with
+    lam - mu = sum d_k alpha_k the denominator 2((lam+rho)^2 - (mu+rho)^2)
+    is sum_k d_k l_k (lam + mu + 2 rho)_k.  Each multiplicity then takes one
+    exact integer division.
     """
     rs = build_root_system(stype)
     rank = rs.rank
     cartan = rs.cartan_matrix
+    lengths = rs.root_lengths
 
-    depth: dict[Coords, int] = {hw: 0}
+    # below[v]: lam - v in simple-root coordinates
+    below: dict[Coords, Coords] = {hw: (0,) * rank}
     frontier = [hw]
     while frontier:
         nxt = []
@@ -211,38 +214,19 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
                 cur = v
                 for k in range(1, m + 1):
                     cur = tuple(cur[j] - row[j] for j in range(rank))
-                    if cur not in depth:
-                        depth[cur] = depth[v] + k
+                    if cur not in below:
+                        d = below[v]
+                        below[cur] = d[:i] + (d[i] + k,) + d[i + 1:]
                         nxt.append(cur)
         frontier = nxt
 
-    gram = tuple(
-        tuple(linalg.dot(a, b) for b in rs.fundamental_weights)
-        for a in rs.fundamental_weights
-    )
-
-    def form(x: tuple, y: tuple) -> Fraction:
-        return sum(
-            (x[i] * sum((gram[i][j] * y[j] for j in range(rank)), Q(0))
-             for i in range(rank)),
-            Q(0),
-        )
-
-    pos_fund = [
-        tuple(int(2 * linalg.dot(beta, s) / linalg.dot(s, s)) for s in rs.simple_roots)
-        for beta in rs.positive_roots
-    ]
-    root_dots = [
-        tuple(linalg.dot(omega, beta) for omega in rs.fundamental_weights)
+    roots = [
+        (root_weight(rs, beta), tuple(c * l for c, l in zip(beta, lengths)))
         for beta in rs.positive_roots
     ]
 
-    rho = tuple(1 for _ in range(rank))
-    lam_rho = tuple(c + 1 for c in hw)
-    top_norm = form(lam_rho, lam_rho)
-
-    dominant = sorted((v for v in depth if all(c >= 0 for c in v)),
-                      key=lambda v: depth[v])
+    dominant = sorted((v for v in below if all(c >= 0 for c in v)),
+                      key=lambda v: sum(below[v]))
     mult: dict[Coords, int] = {}
     dom_cache: dict[Coords, Coords] = {}
 
@@ -252,27 +236,26 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
         return dom_cache[v]
 
     for mu in dominant:
-        if depth[mu] == 0:
+        d = below[mu]
+        if not any(d):
             mult[mu] = 1
             continue
-        acc = Q(0)
-        for beta, u in zip(pos_fund, root_dots):
+        acc = 0
+        for beta, u in roots:
             k = 1
             while True:
                 v = tuple(mu[j] + k * beta[j] for j in range(rank))
-                if v not in depth:
+                if v not in below:
                     break
-                value = sum((v[j] * u[j] for j in range(rank)), Q(0))
-                acc += mult[dom(v)] * value
+                acc += mult[dom(v)] * sum(a * b for a, b in zip(v, u))
                 k += 1
-        mu_rho = tuple(c + 1 for c in mu)
-        denom = top_norm - form(mu_rho, mu_rho)
-        m = 2 * acc / denom
-        if m.denominator != 1 or m <= 0:
-            raise AssertionError(f"Freudenthal gave {m} at {mu} in {stype} {hw}")
-        mult[mu] = int(m)
+        denom = sum(dk * l * (a + b + 2) for dk, l, a, b in zip(d, lengths, hw, mu))
+        m, rem = divmod(2 * acc, denom)
+        if rem or m <= 0:
+            raise AssertionError(f"Freudenthal gave {2 * acc}/{denom} at {mu} in {stype} {hw}")
+        mult[mu] = m
 
-    full = {v: mult[dom(v)] for v in depth}
+    full = {v: mult[dom(v)] for v in below}
     return tuple(sorted(full.items()))
 
 
@@ -461,15 +444,9 @@ def restrict_to_subsystem(fc: FormalCharacter, sub) -> FormalCharacter:
         raise AlgebraMismatchError(
             f"character over {fc.algebra} cannot restrict along a subsystem of {sub.parent}")
     rs = build_root_system(sub.parent)
+    coroots = [coroot(rs, beta) for beta in sub.selected_roots]
     counts: dict[Coords, int] = {}
     for w, m in fc.weights:
-        ambient = rs.weight_to_ambient(w)
-        coords = []
-        for beta in sub.selected_roots:
-            val = 2 * linalg.dot(ambient, beta) / linalg.dot(beta, beta)
-            if val.denominator != 1:
-                raise AssertionError("non-integral pairing against subsystem coroot")
-            coords.append(int(val))
-        key = tuple(coords)
+        key = tuple(sum(a * b for a, b in zip(row, w)) for row in coroots)
         counts[key] = counts.get(key, 0) + m
     return FormalCharacter.from_counts(SemisimpleAlgebra(sub.component_types), counts)

@@ -1,30 +1,27 @@
-"""Finite root systems in fixed rational realizations.
+"""Finite root systems as integer data read off the Cartan matrix.
 
-Each supported Cartan type is built in a fixed ambient space over Q:
+Each supported Cartan type is fixed by its Dynkin diagram in Bourbaki
+numbering and by the squared lengths l of its simple roots, taken from the
+classical coordinate realizations: 2 for every root of A, D and E; long 2 and
+short 1 in B and F4; short 2 and long 4 in C; short 2 and long 6 in G2.  The
+doubled form S = A diag(l) is an integer matrix with 2(x, y) = x^T S y for
+vectors x, y in simple-root coordinates, and every inner product in the
+package comes from it.
 
-* A_n lives in the sum-zero hyperplane of Q^(n+1), simple roots e_i - e_(i+1);
-* B_n, C_n, D_n live in Q^n with the usual signed-vector roots;
-* E6, E7, E8 live in Q^8 (E6 and E7 as the spans of the first six and seven
-  simple roots of E8); F4 lives in Q^4 and G2 in the sum-zero hyperplane of Q^3.
-
-All arithmetic is exact.  Weights elsewhere in the package are integer vectors
-in the fundamental-weight basis; this module owns the conversion data
-(simple roots, Cartan matrix, fundamental weights) and the Weyl-group
-operations that only need that data.
+Roots are integer vectors in simple-root coordinates, coroots integer vectors
+in simple-coroot coordinates, and weights integer vectors in the
+fundamental-weight basis, so <w, beta^vee> is the plain dot product of a
+weight with a coroot.  No ambient vector space is ever built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import linalg
-from .linalg import Mat, Vec
-
-Q = Fraction
 
 Coords = tuple[int, ...]
 
@@ -80,91 +77,125 @@ class SimpleType:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system with its simple roots, Cartan matrix and fundamental weights."""
+    """The integer root datum of one simple type.
+
+    cartan_matrix[i][j] = <alpha_i, alpha_j^vee>, so row i is alpha_i in
+    fundamental coordinates; root_lengths[i] = (alpha_i, alpha_i).
+    positive_roots are in simple-root coordinates, ordered by height, and
+    positive_coroots[k] is the coroot of positive_roots[k] in simple-coroot
+    coordinates.
+    """
 
     stype: SimpleType
-    ambient_dim: int
-    simple_roots: tuple[Vec, ...]
     cartan_matrix: tuple[Coords, ...]
-    positive_roots: tuple[Vec, ...]
-    fundamental_weights: tuple[Vec, ...]
+    root_lengths: Coords
+    positive_roots: tuple[Coords, ...]
+    positive_coroots: tuple[Coords, ...]
 
     @property
     def rank(self) -> int:
         return self.stype.rank
 
-    def all_roots(self) -> tuple[Vec, ...]:
-        return self.positive_roots + tuple(linalg.neg(b) for b in self.positive_roots)
+    @property
+    def symmetrized_form(self) -> tuple[Coords, ...]:
+        """S = A diag(l), with 2(x, y) = x^T S y in simple-root coordinates."""
+        return tuple(
+            tuple(a * l for a, l in zip(row, self.root_lengths)) for row in self.cartan_matrix
+        )
 
-    def weight_to_ambient(self, w: Coords) -> Vec:
-        out = tuple(Q(0) for _ in range(self.ambient_dim))
-        for c, omega in zip(w, self.fundamental_weights):
-            if c:
-                out = linalg.add(out, linalg.scale(Q(c), omega))
-        return out
-
-    def ambient_to_weight(self, v: Vec) -> Coords:
-        return tuple(int(_pairing(v, b)) for b in self.simple_roots)
+    def all_roots(self) -> tuple[Coords, ...]:
+        return self.positive_roots + tuple(
+            tuple(-c for c in b) for b in self.positive_roots)
 
 
-def _pairing(v: Vec, root: Vec) -> Fraction:
-    # <v, root^vee> = 2 (v, root) / (root, root)
-    return 2 * linalg.dot(v, root) / linalg.dot(root, root)
-
-
-def _simple_roots_for(stype: SimpleType) -> tuple[int, tuple[Vec, ...]]:
-    """Ambient dimension and simple-root vectors of the fixed realization."""
+def _diagram(stype: SimpleType) -> tuple[list[tuple[int, int]], Coords]:
+    """Dynkin diagram edges in Bourbaki numbering and the simple-root lengths."""
     fam, n = stype.family, stype.rank
+    chain = [(i, i + 1) for i in range(n - 1)]
     if fam == "A":
-        dim = n + 1
-        return dim, tuple(linalg.sub(_e(dim, i), _e(dim, i + 1)) for i in range(n))
-    if fam in "BCD":
-        dim = n
-        chain = [linalg.sub(_e(dim, i), _e(dim, i + 1)) for i in range(n - 1)]
-        if fam == "B":
-            last = _e(dim, n - 1)
-        elif fam == "C":
-            last = linalg.scale(Q(2), _e(dim, n - 1))
-        else:
-            last = linalg.add(_e(dim, n - 2), _e(dim, n - 1))
-        return dim, tuple(chain + [last])
+        return chain, (2,) * n
+    if fam == "B":
+        return chain, (2,) * (n - 1) + (1,)
+    if fam == "C":
+        return chain, (2,) * (n - 1) + (4,)
+    if fam == "D":
+        return chain[:-1] + [(n - 3, n - 1)], (2,) * n
     if fam == "E":
-        dim = 8
-        half = Q(1, 2)
-        alpha1 = tuple(
-            half if i in (0, 7) else -half for i in range(8)
-        )
-        e8 = [
-            alpha1,
-            linalg.add(_e(8, 0), _e(8, 1)),
-            linalg.sub(_e(8, 1), _e(8, 0)),
-            linalg.sub(_e(8, 2), _e(8, 1)),
-            linalg.sub(_e(8, 3), _e(8, 2)),
-            linalg.sub(_e(8, 4), _e(8, 3)),
-            linalg.sub(_e(8, 5), _e(8, 4)),
-            linalg.sub(_e(8, 6), _e(8, 5)),
-        ]
-        return dim, tuple(e8[:n])
+        return [(0, 2), (1, 3)] + chain[2:], (2,) * n
     if fam == "F":
-        dim = 4
-        half = Q(1, 2)
-        return dim, (
-            linalg.sub(_e(4, 1), _e(4, 2)),
-            linalg.sub(_e(4, 2), _e(4, 3)),
-            _e(4, 3),
-            (half, -half, -half, -half),
-        )
+        return chain, (2, 2, 1, 1)
     if fam == "G":
-        dim = 3
-        return dim, (
-            linalg.sub(_e(3, 0), _e(3, 1)),
-            linalg.add(linalg.scale(Q(-2), _e(3, 0)), linalg.add(_e(3, 1), _e(3, 2))),
-        )
+        return chain, (2, 6)
     raise CartanTypeError(f"unsupported family {fam!r}")
 
 
-def _e(dim: int, i: int) -> Vec:
-    return tuple(Q(1) if j == i else Q(0) for j in range(dim))
+def _cartan_from_gram(gram) -> tuple[Coords, ...]:
+    """<x_i, x_j^vee> = 2(x_i, x_j) / (x_j, x_j) from a doubled Gram matrix."""
+    n = len(gram)
+    return tuple(tuple(2 * gram[i][j] // gram[j][j] for j in range(n)) for i in range(n))
+
+
+def _positive_roots(cartan: tuple[Coords, ...]) -> dict[Coords, Coords]:
+    """Positive roots in simple-root coordinates, each mapped to its weight.
+
+    Roots are generated by height along alpha-strings: with p the number of
+    steps the alpha_i-string through beta reaches below beta, beta + alpha_i
+    is a root exactly when p > <beta, alpha_i^vee>.  Each p is recorded when
+    the root below is processed, one height earlier.  Insertion order is by
+    height, so the highest root comes last.
+    """
+    n = len(cartan)
+    weight: dict[Coords, Coords] = {}
+    down: dict[Coords, dict[int, int]] = {}
+    level = []
+    for i in range(n):
+        simple = tuple(int(j == i) for j in range(n))
+        weight[simple] = cartan[i]
+        down[simple] = {}
+        level.append(simple)
+    while level:
+        nxt = []
+        for beta in level:
+            w, below = weight[beta], down[beta]
+            for i in range(n):
+                p = below.get(i, 0)
+                if p <= w[i]:
+                    continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up not in weight:
+                    weight[up] = tuple(a + b for a, b in zip(w, cartan[i]))
+                    down[up] = {}
+                    nxt.append(up)
+                down[up][i] = p + 1
+        level = nxt
+    return weight
+
+
+def _coroot(lengths: Coords, beta: Coords, weight: Coords) -> Coords:
+    """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates."""
+    norm2 = sum(c * w * l for c, w, l in zip(beta, weight, lengths))  # 2 (beta, beta)
+    out = []
+    for c, l in zip(beta, lengths):
+        k, rem = divmod(2 * c * l, norm2)
+        if rem:
+            raise AssertionError(f"non-integral coroot of {beta}")
+        out.append(k)
+    return tuple(out)
+
+
+def root_weight(rs: RootSystem, beta: Coords) -> Coords:
+    """A vector in simple-root coordinates, expressed in fundamental coordinates."""
+    out = [0] * rs.rank
+    for c, row in zip(beta, rs.cartan_matrix):
+        if c:
+            for j, a in enumerate(row):
+                out[j] += c * a
+    return tuple(out)
+
+
+def coroot(rs: RootSystem, beta: Coords) -> Coords:
+    """The coroot of a root given in simple-root coordinates."""
+    return _coroot(rs.root_lengths, beta, root_weight(rs, beta))
 
 
 _ROOT_COUNT = {
@@ -180,53 +211,23 @@ _ROOT_COUNT = {
 
 @lru_cache(maxsize=None)
 def build_root_system(stype: SimpleType) -> RootSystem:
-    """Construct the root system of stype in its fixed realization."""
-    dim, simple = _simple_roots_for(stype)
+    """Construct the integer root datum of stype from its Dynkin diagram."""
+    edges, lengths = _diagram(stype)
     n = stype.rank
-    cartan = tuple(
-        tuple(int(_pairing(simple[i], simple[j])) for j in range(n)) for i in range(n)
-    )
-    inv = linalg.invert(linalg.mat(cartan))
-    fundamental = tuple(
-        tuple(
-            sum((inv[i][j] * simple[j][k] for j in range(n)), Q(0))
-            for k in range(dim)
-        )
-        for i in range(n)
-    )
-    rho = fundamental[0]
-    for omega in fundamental[1:]:
-        rho = linalg.add(rho, omega)
-    roots = _reflection_closure(simple)
-    if len(roots) != _ROOT_COUNT[stype.family](n):
-        raise AssertionError(f"closure of {stype} produced {len(roots)} roots")
-    positive = tuple(sorted(
-        (r for r in roots if linalg.dot(rho, r) > 0)
-    ))
+    gram = [[2 * lengths[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j])
+    cartan = _cartan_from_gram(gram)
+    roots = _positive_roots(cartan)
+    if 2 * len(roots) != _ROOT_COUNT[stype.family](n):
+        raise AssertionError(f"root strings of {stype} produced {len(roots)} positive roots")
     return RootSystem(
         stype=stype,
-        ambient_dim=dim,
-        simple_roots=simple,
         cartan_matrix=cartan,
-        positive_roots=positive,
-        fundamental_weights=fundamental,
+        root_lengths=lengths,
+        positive_roots=tuple(roots),
+        positive_coroots=tuple(_coroot(lengths, b, w) for b, w in roots.items()),
     )
-
-
-def _reflection_closure(generators: tuple[Vec, ...]) -> set[Vec]:
-    """Close a set of roots under the reflections in the listed roots."""
-    roots = set(generators)
-    frontier = list(generators)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in generators:
-                image = linalg.sub(r, linalg.scale(_pairing(r, s), s))
-                if image not in roots:
-                    roots.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return roots
 
 
 def weyl_group_order(stype: SimpleType) -> int:
@@ -285,21 +286,22 @@ def dominant_representative(rs: RootSystem, w: Coords) -> Coords:
 class Subsystem:
     """A full-rank root subsystem, recorded by an ordered simple system.
 
-    selected_roots concatenates the components' simple roots in the order of
-    component_types; each component's roots follow the standard numbering of
-    its type, so pairing a parent weight against the coroots of
-    selected_roots yields fundamental coordinates for the subsystem.
+    selected_roots concatenates the components' simple roots, in the parent's
+    simple-root coordinates, in the order of component_types; each
+    component's roots follow the standard numbering of its type, so pairing a
+    parent weight against the coroots of selected_roots yields fundamental
+    coordinates for the subsystem.
     """
 
     parent: SimpleType
-    selected_roots: tuple[Vec, ...]
+    selected_roots: tuple[Coords, ...]
     component_types: tuple[SimpleType, ...]
 
     @property
     def signature(self) -> tuple[SimpleType, ...]:
         return tuple(sorted(self.component_types))
 
-    def component_root_blocks(self) -> tuple[tuple[Vec, ...], ...]:
+    def component_root_blocks(self) -> tuple[tuple[Coords, ...], ...]:
         blocks = []
         pos = 0
         for ct in self.component_types:
@@ -312,21 +314,23 @@ class ClassificationError(ValueError):
     """A set of roots that is not a valid simple system of known type."""
 
 
-def _norm2(v: Vec) -> Fraction:
-    return linalg.dot(v, v)
+def _gram(rs: RootSystem, roots) -> list[list[int]]:
+    """Doubled Gram matrix 2(x_i, x_j) of vectors in simple-root coordinates."""
+    form = rs.symmetrized_form
+    images = [tuple(sum(s * c for s, c in zip(row, x)) for row in form) for x in roots]
+    return [[sum(a * b for a, b in zip(x, sy)) for sy in images] for x in roots]
 
 
-def _classify_component(roots: list[Vec]) -> tuple[SimpleType, tuple[Vec, ...]]:
+def _classify_component(roots: list[Coords], gram) -> tuple[SimpleType, tuple[Coords, ...]]:
     """Cartan type and standard ordering of one connected simple system."""
     r = len(roots)
     if r == 1:
         return SimpleType("A", 1), (roots[0],)
+    norm = [gram[i][i] for i in range(r)]
     bond = {}
     adj = {i: [] for i in range(r)}
     for i, j in itertools.combinations(range(r), 2):
-        cij = _pairing(roots[i], roots[j])
-        cji = _pairing(roots[j], roots[i])
-        m = int(cij * cji)
+        m = 4 * gram[i][j] ** 2 // (norm[i] * norm[j])  # <x_i, x_j^vee> <x_j, x_i^vee>
         if m:
             bond[(i, j)] = bond[(j, i)] = m
             adj[i].append(j)
@@ -339,13 +343,13 @@ def _classify_component(roots: list[Vec]) -> tuple[SimpleType, tuple[Vec, ...]]:
         if r != 2:
             raise ClassificationError("triple bond outside rank 2")
         i, j = triple[0]
-        short, long_ = (i, j) if _norm2(roots[i]) < _norm2(roots[j]) else (j, i)
+        short, long_ = (i, j) if norm[i] < norm[j] else (j, i)
         return SimpleType("G", 2), (roots[short], roots[long_])
 
     if double:
         if len(double) > 2:  # bond dict stores both orientations
             raise ClassificationError("several double bonds")
-        return _classify_doubled(roots, adj, degrees, double[0])
+        return _classify_doubled(roots, norm, adj, degrees, double[0])
 
     # Simply laced: a path is type A, one branch point is type D or E.
     branch = [i for i in range(r) if degrees[i] == 3]
@@ -368,7 +372,7 @@ def _path_order(adj: dict[int, list[int]], start: int) -> list[int]:
         order.append(cur)
 
 
-def _order_path(roots: list[Vec], adj, family: str) -> tuple[SimpleType, tuple[Vec, ...]]:
+def _order_path(roots: list[Coords], adj, family: str) -> tuple[SimpleType, tuple[Coords, ...]]:
     ends = [i for i in range(len(roots)) if len(adj[i]) <= 1]
     candidates = []
     for e in ends:
@@ -378,36 +382,33 @@ def _order_path(roots: list[Vec], adj, family: str) -> tuple[SimpleType, tuple[V
     return SimpleType(family, len(roots)), candidates[0]
 
 
-def _classify_doubled(roots, adj, degrees, pair) -> tuple[SimpleType, tuple[Vec, ...]]:
+def _classify_doubled(roots, norm, adj, degrees, pair) -> tuple[SimpleType, tuple[Coords, ...]]:
     r = len(roots)
     i, j = pair
     if degrees[i] == 2 and degrees[j] == 2:
         if r != 4:
             raise ClassificationError("interior double bond outside F4")
         ends = [k for k in range(4) if degrees[k] == 1]
-        long_end = max(ends, key=lambda k: (_norm2(roots[k]), ))
+        long_end = max(ends, key=lambda k: norm[k])
         order = _path_order(adj, long_end)
-        ordered = tuple(roots[k] for k in order)
-        if _norm2(ordered[0]) <= _norm2(ordered[-1]):
+        if norm[order[0]] <= norm[order[-1]]:
             raise ClassificationError("inconsistent F4 lengths")
-        return SimpleType("F", 4), ordered
+        return SimpleType("F", 4), tuple(roots[k] for k in order)
     # Double bond at the end of a chain: short end node means B, long means C.
     end_node = i if degrees[i] == 1 else j
     if r == 2:
         i, j = pair
-        long_, short = (i, j) if _norm2(roots[i]) > _norm2(roots[j]) else (j, i)
+        long_, short = (i, j) if norm[i] > norm[j] else (j, i)
         return SimpleType("B", 2), (roots[long_], roots[short])
     far_ends = [k for k in range(r) if degrees[k] == 1 and k != end_node]
     if len(far_ends) != 1:
         raise ClassificationError("doubled diagram is not a chain")
     order = _path_order(adj, far_ends[0])
-    ordered = tuple(roots[k] for k in order)
-    end_is_short = _norm2(ordered[-1]) < _norm2(ordered[0])
-    family = "B" if end_is_short else "C"
-    return SimpleType(family, r), ordered
+    family = "B" if norm[order[-1]] < norm[order[0]] else "C"
+    return SimpleType(family, r), tuple(roots[k] for k in order)
 
 
-def _classify_branched(roots, adj, branch: int) -> tuple[SimpleType, tuple[Vec, ...]]:
+def _classify_branched(roots, adj, branch: int) -> tuple[SimpleType, tuple[Coords, ...]]:
     r = len(roots)
     arms = []
     for first in adj[branch]:
@@ -443,16 +444,20 @@ def _classify_branched(roots, adj, branch: int) -> tuple[SimpleType, tuple[Vec, 
     raise ClassificationError(f"unrecognized branched diagram with arms {lengths}")
 
 
-def classify_simple_system(roots: tuple[Vec, ...]) -> tuple[tuple[SimpleType, tuple[Vec, ...]], ...]:
-    """Split a simple system into connected components with standard orderings.
+def classify_simple_system(
+    rs: RootSystem, roots: tuple[Coords, ...],
+) -> tuple[tuple[SimpleType, tuple[Coords, ...]], ...]:
+    """Split a simple system of rs, in simple-root coordinates, into connected
+    components with standard orderings.
 
     Components are returned sorted by (type, ordered roots) so the result is
     canonical for a given set of roots.
     """
     n = len(roots)
+    gram = _gram(rs, roots)
     adj = {i: set() for i in range(n)}
     for i, j in itertools.combinations(range(n), 2):
-        if linalg.dot(roots[i], roots[j]) != 0:
+        if gram[i][j] != 0:
             adj[i].add(j)
             adj[j].add(i)
     seen: set[int] = set()
@@ -469,41 +474,28 @@ def classify_simple_system(roots: tuple[Vec, ...]) -> tuple[tuple[SimpleType, tu
             seen.add(k)
             comp.append(k)
             stack.extend(adj[k] - seen)
-        stype, ordered = _classify_component([roots[k] for k in comp])
+        stype, ordered = _classify_component(
+            [roots[k] for k in comp], [[gram[a][b] for b in comp] for a in comp])
         components.append((stype, ordered))
     components.sort(key=lambda c: (c[0], c[1]))
     return tuple(components)
 
 
-def _make_subsystem(parent: SimpleType, roots: tuple[Vec, ...]) -> Subsystem:
-    comps = classify_simple_system(roots)
+def _make_subsystem(rs: RootSystem, roots: tuple[Coords, ...]) -> Subsystem:
+    comps = classify_simple_system(rs, roots)
     selected = tuple(itertools.chain.from_iterable(ordered for _, ordered in comps))
     return Subsystem(
-        parent=parent,
+        parent=rs.stype,
         selected_roots=selected,
         component_types=tuple(st for st, _ in comps),
     )
 
 
-def _highest_root(component: tuple[Vec, ...]) -> Vec:
+def _highest_root(rs: RootSystem, component: tuple[Coords, ...]) -> Coords:
     """Highest root of the subsystem generated by one component's simple roots."""
-    coeffs = {component[i]: tuple(1 if j == i else 0 for j in range(len(component)))
-              for i in range(len(component))}
-    frontier = list(component)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i, s in enumerate(component):
-                pairing = _pairing(root, s)
-                image = linalg.sub(root, linalg.scale(pairing, s))
-                if image not in coeffs:
-                    c = coeffs[root]
-                    coeffs[image] = tuple(
-                        c[j] - (int(pairing) if j == i else 0) for j in range(len(component))
-                    )
-                    nxt.append(image)
-        frontier = nxt
-    return max(coeffs, key=lambda r: (sum(coeffs[r]), r))
+    top = next(reversed(_positive_roots(_cartan_from_gram(_gram(rs, component)))))
+    return tuple(
+        sum(c * beta[k] for c, beta in zip(top, component)) for k in range(rs.rank))
 
 
 def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
@@ -515,7 +507,8 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
     signature, which identifies Weyl-conjugate results at the granularity the
     downstream arguments need.
     """
-    start = _make_subsystem(rs.stype, rs.simple_roots)
+    start = _make_subsystem(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
+                                      for i in range(rs.rank)))
     seen = {start.signature}
     queue = [start]
     out = [start]
@@ -523,7 +516,7 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
         sub = queue.pop()
         blocks = sub.component_root_blocks()
         for b, block in enumerate(blocks):
-            extended = block + (linalg.neg(_highest_root(block)),)
+            extended = block + (tuple(-c for c in _highest_root(rs, block)),)
             others = tuple(itertools.chain.from_iterable(
                 blk for c, blk in enumerate(blocks) if c != b
             ))
@@ -531,7 +524,7 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
                 kept = others + extended[:skip] + extended[skip + 1:]
                 if linalg.rank(kept) != rs.rank:
                     raise AssertionError("deletion lost rank")
-                candidate = _make_subsystem(rs.stype, kept)
+                candidate = _make_subsystem(rs, kept)
                 if candidate.signature not in seen:
                     seen.add(candidate.signature)
                     out.append(candidate)
@@ -594,10 +587,7 @@ class LatticeInvolution:
 
     @classmethod
     def from_node_permutation(cls, perm: dict[int, int], rank: int) -> "LatticeInvolution":
-        full = {i: perm.get(i, i) for i in range(rank)}
-        return cls(tuple(
-            tuple(1 if j == full[i] else 0 for j in range(rank)) for i in range(rank)
-        ))
+        return cls(_permutation_matrix(perm, rank))
 
 
 def _permutation_matrix(perm: dict[int, int], rank: int) -> tuple[Coords, ...]:

@@ -14,11 +14,11 @@ import sys
 
 from ..abmultiset import AbGroup, GroupMultiset, factorizations
 from ..charmatch import same_formal_character
-from ..reps import (SemisimpleAlgebra, HighestWeight, irreducible_character,
-                    multiplicity_free_catalog, weyl_dimension)
+from ..reps import (DimensionBoundError, SemisimpleAlgebra, HighestWeight,
+                    irreducible_character, multiplicity_free_catalog, weyl_dimension)
 from ..rootsys import SimpleType, build_root_system, equal_rank_subsystems
 from . import cases as case_mod
-from .charfile import CharFileError, read_character_file
+from .charfile import read_character_file
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -311,10 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CharFileError, case_mod.CaseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    # UsageError, CharFileError and CaseError are ValueErrors.
+    except (ValueError, OSError, DimensionBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

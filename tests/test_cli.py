@@ -1,10 +1,13 @@
 """Command-line behavior: exit codes, text and structured output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from charlattice.verifycli.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -179,16 +182,22 @@ def test_verify_paper_suite(capsys):
 
 
 def test_verify_paper_structured(capsys):
-    code, out, _ = run(capsys, "--format", "structured", "verify-paper")
+    code, out, _ = run(capsys, "--format", "structured", "--seed", "0", "verify-paper")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["passed"] == doc["total"] == 30
+    assert out == (GOLDEN / "verify_paper_seed0.json").read_text(encoding="utf-8")
 
 
 def test_usage_error_for_bad_weight(capsys):
     code, _, err = run(capsys, "dim", "A2", "1,2,3")
     assert code == 2
     assert "coordinates" in err
+
+
+def test_weights_over_bound_is_refused(capsys):
+    code, out, err = run(capsys, "weights", "A2", "1,1", "--bound", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dimension 8 exceeds bound 5\n"  # no traceback
 
 
 def test_usage_error_for_bad_algebra(capsys):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ambient_oracle import ambient_root_system, gram, pairing
+from charlattice.charmatch import canonical_weight_form
+from charlattice.reps import SemisimpleAlgebra
 from charlattice.rootsys import (CartanTypeError, LatticeInvolution, SimpleType,
                                  build_root_system, classify_simple_system,
                                  diagram_automorphisms, dominant_representative,
@@ -63,12 +66,39 @@ def test_root_counts_and_weyl_orders(name):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_fundamental_weights_dual_to_coroots(name):
-    rs = build_root_system(SimpleType.parse(name))
+    rs = ambient_root_system(SimpleType.parse(name))
     for i, w in enumerate(rs.fundamental_weights):
         for j, alpha in enumerate(rs.simple_roots):
             dot = sum(a * b for a, b in zip(w, alpha))
             norm = sum(a * a for a in alpha)
             assert Fraction(2) * dot / norm == (1 if i == j else 0)
+
+
+# Criterion 12's universe plus E8 and F4.
+ORACLE_TYPES = ([f"A{n}" for n in range(1, 20)] + [f"B{n}" for n in range(2, 13)]
+                + [f"C{n}" for n in range(3, 13)] + [f"D{n}" for n in range(4, 13)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_integer_datum_matches_ambient_oracle(name):
+    st = SimpleType.parse(name)
+    rs = build_root_system(st)
+    amb = ambient_root_system(st)
+    assert rs.cartan_matrix == amb.cartan_matrix
+    dim = len(amb.simple_roots[0])
+    vectors = [
+        tuple(sum((c * a[k] for c, a in zip(beta, amb.simple_roots)), Fraction(0))
+              for k in range(dim))
+        for beta in rs.positive_roots
+    ]
+    assert len(vectors) == len(amb.positive_roots)
+    assert set(vectors) == amb.positive_roots
+    for vector, co in zip(vectors, rs.positive_coroots):
+        assert co == tuple(pairing(w, vector) for w in amb.fundamental_weights)
+    assert rs.symmetrized_form == tuple(
+        tuple(2 * x for x in row) for row in gram(amb.simple_roots))
+    assert canonical_weight_form(SemisimpleAlgebra((st,))) == gram(amb.fundamental_weights)
 
 
 def test_cartan_matrices_frozen():
@@ -113,8 +143,9 @@ def test_classification_recovers_each_type(name):
     rs = build_root_system(st)
     # feed the simple roots in scrambled order; classification must not depend
     # on the presentation
-    scrambled = tuple(reversed(rs.simple_roots))
-    components = classify_simple_system(scrambled)
+    simple_roots = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    scrambled = tuple(reversed(simple_roots))
+    components = classify_simple_system(rs, scrambled)
     assert tuple(t for t, _ in components) == (st,)
 
 
