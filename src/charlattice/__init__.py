@@ -16,12 +16,12 @@ from .reps import (AlgebraMismatchError, CatalogEntry, DimensionBoundError,
                    restrict_to_subsystem, trivial_character, weight_multiset,
                    weyl_dimension)
 from .charmatch import (AltPowerStats, BilinearForm, CharIsomorphism,
-                        ConjugationMultiset, DegenerateFormError, GramData,
+                        ConjugationMultiset, DegenerateFormError,
                         MaxNormRecord, NonCompatibleInvolutionError,
                         TypeACountReport, TypeARestrictionError,
                         alt_power_stats, canonical_weight_form,
                         char_inner_product, conjugation_sums, factor_scalars,
-                        fixed_point_exists, gram_data, max_norm_weights,
+                        fixed_point_exists, max_norm_weights,
                         negation_involution, same_formal_character,
                         type_a_count_report)
 from .abmultiset import (AbGroup, Decomposition, GroupMultiset, canonical_form,

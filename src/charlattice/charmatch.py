@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .reps import FormalCharacter, SemisimpleAlgebra, negate_character
 from .rootsys import Coords, LatticeInvolution
 
@@ -41,28 +41,28 @@ class BilinearForm:
     matrix: Mat
 
     def pair(self, v: Coords, w: Coords) -> Fraction:
-        return sum(
-            (Q(v[i]) * sum((self.matrix[i][j] * w[j] for j in range(len(w))), Q(0))
-             for i in range(len(v))),
-            Q(0),
-        )
+        return linalg.dot(v, linalg.matvec(self.matrix, w))
 
     def norm2(self, w: Coords) -> Fraction:
         return self.pair(w, w)
 
 
+def _moment_matrix(weighted, dim: int) -> list[list[Fraction]]:
+    """Sum of mult * v v^T over the (v, mult) pairs, v of length dim."""
+    m = [[Q(0)] * dim for _ in range(dim)]
+    for v, mult in weighted:
+        for i in range(dim):
+            if v[i]:
+                for j in range(dim):
+                    if v[j]:
+                        m[i][j] += mult * v[i] * v[j]
+    return m
+
+
 def char_inner_product(fc: FormalCharacter) -> BilinearForm:
     """Dual of the sum-of-squares form of the character; needs a faithful character."""
-    rank = fc.algebra.rank
-    m = [[Q(0)] * rank for _ in range(rank)]
-    for w, mult in fc.weights:
-        for i in range(rank):
-            if w[i]:
-                for j in range(rank):
-                    if w[j]:
-                        m[i][j] += mult * w[i] * w[j]
     try:
-        dual = linalg.invert(m)
+        dual = linalg.invert(_moment_matrix(fc.weights, fc.algebra.rank))
     except ValueError:
         trivial = [
             str(st) for st, block in zip(fc.algebra.factors, _factor_blocks(fc))
@@ -131,23 +131,6 @@ def factor_scalars(fc: FormalCharacter) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GramData:
-    """Gram matrix of the distinct weights under the canonical form."""
-
-    algebra: SemisimpleAlgebra
-    weights: tuple[Coords, ...]
-    matrix: Mat
-
-
-def gram_data(fc: FormalCharacter) -> GramData:
-    """Canonical-form Gram data over the distinct weights in lexicographic order."""
-    pair = BilinearForm(fc.algebra, canonical_weight_form(fc.algebra)).pair
-    distinct = fc.distinct()
-    matrix = tuple(tuple(pair(v, w) for w in distinct) for v in distinct)
-    return GramData(algebra=fc.algebra, weights=distinct, matrix=matrix)
-
-
 # ---------------------------------------------------------------------------
 # Formal-character matching.
 
@@ -178,39 +161,22 @@ class CharIsomorphism:
         return mapped == self.target.counts()
 
 
-def _span_data(fc: FormalCharacter):
-    """Span basis, span coordinates and induced Gram data for the distinct weights."""
+def _span_data(fc: FormalCharacter) -> tuple[int, Mat]:
+    """Rank of the weights' span and the induced Gram matrix of the distinct weights.
+
+    With p the pivot columns of the distinct-weight matrix and R the rows of
+    its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
+    integer entries at p are its coordinates c in the span basis R.  The Gram
+    matrix C M^-1 C^T, with M = sum mult c c^T, does not depend on that basis.
+    """
     distinct = fc.distinct()
-    mults = [m for _, m in fc.weights]
-    basis: list[Vec] = []
-    for w in distinct:
-        v = linalg.vec(w)
-        if linalg.rank(basis + [v]) > len(basis):
-            basis.append(v)
-    coords = []
-    for w in distinct:
-        c = linalg.solve_columns(basis, linalg.vec(w)) if basis else ()
-        if c is None:
-            raise AssertionError("weight outside its own span basis")
-        coords.append(c)
-    s = len(basis)
-    m = [[Q(0)] * s for _ in range(s)]
-    for c, mult in zip(coords, mults):
-        for i in range(s):
-            if c[i]:
-                for j in range(s):
-                    if c[j]:
-                        m[i][j] += mult * c[i] * c[j]
-    dual = linalg.invert(m) if s else ()
-    gram = tuple(
-        tuple(
-            sum((ci[i] * sum((dual[i][j] * cj[j] for j in range(s)), Q(0))
-                 for i in range(s)), Q(0))
-            for cj in coords
-        )
-        for ci in coords
-    )
-    return basis, coords, gram
+    pivots = linalg.pivot_columns(distinct)
+    coords = [tuple(w[p] for p in pivots) for w in distinct]
+    moment = _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots))
+    left = linalg.matmul(coords, linalg.invert(moment))
+    # Rows of C M^-1 against rows of C; a rank-0 span gives an n x n zero matrix.
+    gram = tuple(tuple(linalg.dot(x, c) for c in coords) for x in left)
+    return len(pivots), gram
 
 
 def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
@@ -231,9 +197,9 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
         return None
     m1 = [m for _, m in fc1.weights]
     m2 = [m for _, m in fc2.weights]
-    basis1, _, gram1 = _span_data(fc1)
-    basis2, _, gram2 = _span_data(fc2)
-    if len(basis1) != len(basis2):
+    span1, gram1 = _span_data(fc1)
+    span2, gram2 = _span_data(fc2)
+    if span1 != span2:
         return None
 
     n = len(d1)
@@ -272,7 +238,7 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
             used.discard(j)
 
     for sigma in backtrack(0):
-        matrix = _linear_witness(d1, d2, sigma, basis1, rank)
+        matrix = _linear_witness(d1, d2, sigma, rank)
         if matrix is None:
             continue
         witness = CharIsomorphism(source=fc1, target=fc2, matrix=matrix)
@@ -290,22 +256,16 @@ def _row_profiles(gram: Mat, mults: list[int]):
     return [tuple(sorted((gram[i][j], mults[j]) for j in range(n))) for i in range(n)]
 
 
-def _linear_witness(d1, d2, sigma: dict[int, int], basis1, rank: int):
+def _linear_witness(d1, d2, sigma: dict[int, int], rank: int):
     """Extend a weight bijection to a full-rank matrix, or report None."""
     pairs = [(linalg.vec(d1[i]), linalg.vec(d2[sigma[i]])) for i in sorted(sigma)]
-    span_sources = []
-    span_targets = []
-    for src, tgt in pairs:
-        if linalg.rank(span_sources + [src]) > len(span_sources):
-            span_sources.append(src)
-            span_targets.append(tgt)
+    picked = linalg.pivot_columns(linalg.transpose([src for src, _ in pairs]))
+    span_sources = [pairs[k][0] for k in picked]
+    span_targets = [pairs[k][1] for k in picked]
     if linalg.rank(span_targets) != len(span_targets):
         return None
     full_src = linalg.extend_to_basis(span_sources, rank)
-    try:
-        full_tgt = linalg.extend_to_basis(span_targets, rank)
-    except ValueError:
-        return None
+    full_tgt = linalg.extend_to_basis(span_targets, rank)
     b = linalg.transpose(full_src)
     t = linalg.transpose(full_tgt)
     matrix = linalg.matmul(t, linalg.invert(b))
@@ -476,7 +436,6 @@ __all__ = [
     "CharIsomorphism",
     "ConjugationMultiset",
     "DegenerateFormError",
-    "GramData",
     "MaxNormRecord",
     "NonCompatibleInvolutionError",
     "TypeACountReport",
@@ -487,7 +446,6 @@ __all__ = [
     "conjugation_sums",
     "factor_scalars",
     "fixed_point_exists",
-    "gram_data",
     "max_norm_weights",
     "negate_character",
     "negation_involution",

@@ -76,9 +76,19 @@ def _gauss_jordan(rows: Sequence[Sequence[Fraction]],
     return work, pivots
 
 
+def pivot_columns(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Pivot columns of the reduced row echelon form of rows, left to right.
+
+    Column j is a pivot exactly when it is independent of the columns before
+    it, so pivot_columns(transpose(vectors)) is the greedy left-to-right
+    choice of independent vectors from a list.
+    """
+    return _gauss_jordan(rows)[1]
+
+
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of the listed row vectors."""
-    return len(_gauss_jordan(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def invert(m: Sequence[Sequence[Fraction]]) -> Mat:
@@ -111,13 +121,8 @@ def solve_columns(columns: Sequence[Sequence[Fraction]], target: Sequence[Fracti
 
 def extend_to_basis(vectors: Sequence[Vec], dim: int) -> Mat:
     """Complete an independent family to a basis of Q^dim with standard basis vectors."""
-    basis = [vec(v) for v in vectors]
-    for j in range(dim):
-        candidate = tuple(ONE if i == j else ZERO for i in range(dim))
-        if rank(basis + [candidate]) > len(basis):
-            basis.append(candidate)
-        if len(basis) == dim:
-            break
-    if len(basis) != dim:
+    family = [vec(v) for v in vectors] + list(identity(dim))
+    picked = pivot_columns(transpose(family))
+    if picked[:len(vectors)] != list(range(len(vectors))) or len(picked) != dim:
         raise ValueError("family does not extend to a basis")
-    return tuple(basis)
+    return tuple(family[i] for i in picked)

@@ -100,7 +100,7 @@ def _cmd_samechar(args) -> int:
     if witness is None:
         _emit({"match": False, "witness": None}, args.format, ["no witness"])
         return EXIT_OK
-    rows = [list(int(c) for c in row) for row in witness.matrix]
+    rows = [[int(c) if c.denominator == 1 else str(c) for c in row] for row in witness.matrix]
     lines = ["witness:"] + [" ".join(str(c) for c in row) for row in rows]
     _emit({"match": True, "witness": rows}, args.format, lines)
     return EXIT_OK

@@ -1,29 +1,35 @@
-"""Induced forms, Gram data and the weight-multiset matching search.
+"""Induced forms, the canonical form and the weight-multiset matching search.
 
 The alternating-power statistics get an independent oracle that builds every
 subset weight explicitly and pairs them with the literal ambient form, sharing
-nothing with the closed-form path.
+nothing with the closed-form path.  Witness matrices of the matching search
+are pinned in tests/golden/samechar_witnesses.json.
 """
 
 import itertools
+import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
+from charlattice.charmatch import (AltPowerStats, BilinearForm,
+                                   DegenerateFormError,
                                    NonCompatibleInvolutionError,
                                    TypeARestrictionError, alt_power_stats,
-                                   char_inner_product, conjugation_sums,
-                                   factor_scalars, fixed_point_exists,
-                                   gram_data, max_norm_weights,
+                                   canonical_weight_form, char_inner_product,
+                                   conjugation_sums, factor_scalars,
+                                   fixed_point_exists, max_norm_weights,
                                    negation_involution, same_formal_character,
                                    type_a_count_report)
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, negate_character,
                               trivial_character)
 from charlattice.rootsys import LatticeInvolution, SimpleType
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def char(name: str, hw) -> FormalCharacter:
@@ -67,27 +73,18 @@ def test_factor_scalars():
 
 
 # ---------------------------------------------------------------------------
-# Canonical Gram data.
+# Canonical form.
 
-def test_gram_data_sl2_std():
-    gd = gram_data(char("A1", (1,)))
-    assert gd.weights == ((-1,), (1,))
-    assert gd.matrix == ((Q(1, 2), Q(-1, 2)), (Q(-1, 2), Q(1, 2)))
-
-
-def test_gram_data_alt_power_diagonal():
+def test_canonical_form_alt_power_norms():
+    # every weight of the a-th alternating power of A_n has the closed-form norm
     for n in range(2, 6):
+        alg = SemisimpleAlgebra.parse(f"A{n}")
+        form = BilinearForm(alg, canonical_weight_form(alg))
         for a in range(1, n + 1):
-            hw = tuple(1 if i == a - 1 else 0 for i in range(n))
-            gd = gram_data(char(f"A{n}", hw))
             want = Q(a * (n + 1 - a), n + 1)
-            assert all(gd.matrix[i][i] == want for i in range(len(gd.weights)))
-
-
-def test_gram_data_trivial_singleton():
-    gd = gram_data(trivial_character(SemisimpleAlgebra.parse("A3")))
-    assert gd.weights == ((0, 0, 0),)
-    assert gd.matrix == ((Q(0),),)
+            assert alt_power_stats(n, a).norm2 == want
+            hw = tuple(1 if i == a - 1 else 0 for i in range(n))
+            assert all(form.norm2(w) == want for w, _ in char(f"A{n}", hw).weights)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +135,44 @@ def test_match_rescaled_lattice():
     assert witness is not None
     assert witness.matrix == ((Q(1, 2),),)
     assert witness.validate()
+
+
+def test_match_trivial_characters_rank_zero_span():
+    triv = trivial_character(SemisimpleAlgebra.parse("A3"))
+    witness = same_formal_character(triv, triv)
+    assert witness is not None
+    assert witness.matrix == tuple(
+        tuple(Q(int(i == j)) for j in range(3)) for i in range(3))
+
+
+def golden_witness_pairs():
+    """The character pairs whose witnesses samechar_witnesses.json pins."""
+    a1 = SemisimpleAlgebra.parse("A1")
+    a2 = SemisimpleAlgebra.parse("A2")
+    yield "G2 (1,0) vs A2 std+dual+trivial", char("G2", (1, 0)), direct_sum(
+        char("A2", (1, 0)), char("A2", (0, 1)), trivial_character(a2))
+    a4 = char("A4", (1, 0, 0, 0))
+    yield "A4 std vs its negation", a4, negate_character(a4)
+    e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
+    yield "E7 w7 vs its negation", e7, negate_character(e7)
+    # the span has rank 1, so both sides are completed by unit vectors
+    yield "A1+A1 (1,0) vs (0,1)", char("A1+A1", (1, 0)), char("A1+A1", (0, 1))
+    sym2 = [w[0] for w, _ in char("A1", (2,)).weights]
+    yield "A2 {(x,0)} vs {(x,x)} over A1 sym2 weights", \
+        FormalCharacter.from_counts(a2, {(x, 0): 1 for x in sym2}), \
+        FormalCharacter.from_counts(a2, {(x, x): 1 for x in sym2})
+    yield "A1 sym2 vs std+trivial", char("A1", (2,)), direct_sum(
+        char("A1", (1,)), trivial_character(a1))
+
+
+def test_match_witnesses_golden():
+    want = json.loads((GOLDEN / "samechar_witnesses.json").read_text(encoding="utf-8"))
+    got = {}
+    for name, fc1, fc2 in golden_witness_pairs():
+        witness = same_formal_character(fc1, fc2)
+        assert witness is not None and witness.validate()
+        got[name] = [[str(c) for c in row] for row in witness.matrix]
+    assert got == want
 
 
 def test_match_across_factor_order():

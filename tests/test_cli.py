@@ -82,6 +82,21 @@ def test_samechar_finds_witness(capsys, tmp_path):
     assert len(out.splitlines()) == 3  # header plus a 2x2 matrix
 
 
+def test_samechar_prints_rational_witness(capsys, tmp_path):
+    sym2 = tmp_path / "sym2.char"
+    split = tmp_path / "split.char"
+    sym2.write_text("algebra: A1\nweights:\n-2 1\n0 1\n2 1\n", encoding="utf-8")
+    split.write_text("algebra: A1\nweights:\n-1 1\n0 1\n1 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "samechar", str(sym2), str(split))
+    assert code == 0
+    assert out == "witness:\n1/2\n"
+    code, out, _ = run(capsys, "--format", "structured", "samechar", str(sym2), str(split))
+    assert code == 0
+    assert json.loads(out) == {"match": True, "witness": [["1/2"]]}
+    code, out, _ = run(capsys, "--format", "structured", "samechar", str(split), str(sym2))
+    assert json.loads(out) == {"match": True, "witness": [[2]]}
+
+
 def test_samechar_reports_absence(capsys, tmp_path):
     a = tmp_path / "a.char"
     b = tmp_path / "b.char"
