@@ -5,7 +5,12 @@ multisets is the multiset of pairwise sums; two multisets are equivalent when
 one is a translate of the other.  Factorization into factors of prescribed
 sizes follows the determinacy argument: once one factor is pinned down to
 contain 0, the remaining rows are forced up to finitely many choices, which a
-small backtracking search enumerates completely.
+small backtracking search enumerates completely.  The other factor is then a
+sub-multiset of the product that may be taken to hold the product's least
+element c0, and the search enumerates whichever of the two factors is
+smaller, so a (2, 8) split tries the 15 pairs through c0 rather than all
+12,870 eight-element sub-multisets.  Both the enumeration and the row
+completion are iterative, so long factors never meet the recursion limit.
 """
 
 from __future__ import annotations
@@ -120,13 +125,22 @@ def equivalent(a: GroupMultiset, b: GroupMultiset) -> Elem | None:
 
 def canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
     """Translation-invariant canonical key: the least sorted translate with some
-    element at 0."""
-    best = None
-    for e, _ in a.elems:
-        candidate = a.translate(a.group.neg(e)).elems
-        if best is None or candidate < best:
-            best = candidate
-    return best if best is not None else ()
+    element at 0.
+
+    The translate by -e starts with (0, f - e's free part), f the least free
+    part in e's torsion class.  So only the element with the greatest free
+    part of each class can give the least translate, and only the classes
+    where that start is least are translated in full.
+    """
+    low: dict[int, tuple[int, ...]] = {}
+    high: dict[int, Elem] = {}
+    for e, _ in a.elems:  # sorted: a class starts at its least free part
+        low.setdefault(e[0], e[1])
+        high[e[0]] = e
+    starts = {t: tuple(x - y for x, y in zip(low[t], e[1])) for t, e in high.items()}
+    least = min(starts.values(), default=None)
+    return min((a.translate(a.group.neg(high[t])).elems
+                for t, start in starts.items() if start == least), default=())
 
 
 @dataclass(frozen=True)
@@ -156,74 +170,154 @@ class Decomposition:
 
 
 def _sub_multisets(counts: list[tuple[Elem, int]], size: int):
-    """All sub-multisets of a counted multiset with the given total size."""
-    if size == 0:
-        yield []
+    """All sub-multisets of a counted multiset with the given total size.
+
+    Yielded as lists of (elem, take) with take > 0, in decreasing
+    lexicographic order of the takes: as many of the first element as
+    possible first.
+    """
+    cap = [0] * (len(counts) + 1)
+    for i in range(len(counts) - 1, -1, -1):
+        cap[i] = cap[i + 1] + counts[i][1]
+    if not 0 <= size <= cap[0]:
         return
-    if not counts:
-        return
-    (elem, avail), rest = counts[0], counts[1:]
-    for take in range(min(avail, size), -1, -1):
-        for tail in _sub_multisets(rest, size - take):
-            yield ([(elem, take)] if take else []) + tail
+    takes: list[int] = []      # the take at each position decided so far
+    chosen: list[tuple[Elem, int]] = []
+    left = size
+    while True:
+        while left:            # the greedy, lexicographically largest, tail
+            elem, avail = counts[len(takes)]
+            take = min(avail, left)
+            takes.append(take)
+            if take:
+                chosen.append((elem, take))
+                left -= take
+        yield list(chosen)
+        # Back up to the last take that can drop by one, the rest fitting
+        # into the positions after it.
+        while takes:
+            take = takes.pop()
+            if not take:
+                continue
+            chosen.pop()
+            left += take
+            if cap[len(takes) + 1] >= left - take + 1:
+                break
+        else:
+            return
+        takes.append(take - 1)
+        if take > 1:
+            chosen.append((counts[len(takes) - 1][0], take - 1))
+        left -= take - 1
+
+
+def _completions(group: AbGroup, counts: dict[Elem, int], order: list[Elem],
+                 b_items: list[tuple[Elem, int]], rows: int):
+    """Every A with 0 in A, #A = rows >= 2 and A + B = counts, as lists of rows.
+
+    Row 0 of A covers B itself.  The least element left over must then be
+    alpha + beta for a new row alpha and some beta in B, so each step tries
+    the distinct gamma - beta.  `order` lists the keys of `counts` sorted;
+    `counts` is decremented in place and restored once the search ends.
+    """
+    for e, m in b_items:
+        counts[e] -= m
+    alphas = [group.zero()]
+    # One frame per row being placed: [candidate rows, next candidate,
+    # placed shift of B or None, where in `order` the search for gamma starts].
+    stack = []
+
+    def push(start: int) -> None:
+        while not counts[order[start]]:
+            start += 1
+        gamma = order[start]
+        tried = list(dict.fromkeys(group.sub(gamma, beta) for beta, _ in b_items))
+        stack.append([tried, 0, None, start])
+
+    try:
+        push(0)
+        while stack:
+            frame = stack[-1]
+            tried, k, placed, start = frame
+            if placed is not None:
+                for e, m in placed:
+                    counts[e] += m
+                alphas.pop()
+            while k < len(tried):
+                alpha = tried[k]
+                k += 1
+                shifted = []
+                for e, m in b_items:
+                    e = group.add(alpha, e)
+                    if counts.get(e, 0) < m:
+                        break
+                    shifted.append((e, m))
+                else:
+                    break
+            else:
+                stack.pop()
+                continue
+            frame[1:3] = k, shifted
+            for e, m in shifted:
+                counts[e] -= m
+            alphas.append(alpha)
+            if len(alphas) == rows:
+                yield list(alphas)
+            else:
+                push(start)
+    finally:
+        for e, m in b_items:
+            counts[e] += m
+
+
+def _pinned_pairs(c: GroupMultiset, a_size: int, b_size: int):
+    """(rows of A, B) for A + B = c with 0 in A and c's least element c0 in B.
+
+    B runs over sub-multisets of c in `_sub_multisets` order; the A's of one B
+    come in the order the forced-row search finds them.
+    """
+    order = [e for e, _ in c.elems]
+    counts = c.counts()
+    head = order[0]
+    rest = [(head, counts[head] - 1)] + list(c.elems[1:])
+    for tail in _sub_multisets(rest, b_size - 1):
+        if tail and tail[0][0] == head:
+            b_items = [(head, tail[0][1] + 1)] + tail[1:]
+        else:
+            b_items = [(head, 1)] + tail
+        for rows in _completions(c.group, counts, order, b_items, a_size):
+            yield rows, b_items
 
 
 def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
-    """All (A, B) with A + B = c, #A = a_size, #B = b_size and 0 in A.
+    """(A, B) with A + B = c, #A = a_size, #B = b_size, 0 in A, B a sub-multiset.
 
-    Any factorization can be translated so the first factor contains 0; then
-    the second factor is a sub-multiset of c, and the remaining elements of the
-    first factor are forced row by row.
+    Any factorization A + B can be translated so that 0 is in A; then B is a
+    sub-multiset of c and the remaining rows of A are forced one by one.  In
+    each class, the translate whose second factor sorts first also has c's
+    least element c0 in B (translating by the alpha with c0 = alpha + beta
+    moves c0 into B), so only B containing c0 are enumerated.
+
+    When b_size > a_size, the smaller factor is enumerated instead: each
+    pinned pair (Y, X) with #X = a_size gives the second factors Y + alpha,
+    alpha in X, of which the least as a sorted list is the one a direct search
+    reaches first.  Completing those second factors in sorted order yields the
+    direct search's pairs that lead every class, in the same order.
     """
     group = c.group
-    zero = group.zero()
+    if b_size <= a_size:
+        return [(GroupMultiset.from_iterable(group, rows),
+                 GroupMultiset.from_counts(group, dict(b_items)))
+                for rows, b_items in _pinned_pairs(c, a_size, b_size)]
+    seconds = {min(tuple(sorted(group.add(r, alpha) for r in rows)) for alpha, _ in x_items)
+               for rows, x_items in _pinned_pairs(c, b_size, a_size)}
+    order = [e for e, _ in c.elems]
+    counts = c.counts()
     out = []
-    for b_items in _sub_multisets(list(c.elems), b_size):
-        b_counts = dict(b_items)
-        remaining = c.counts()
-        ok = True
-        for e, m in b_items:
-            if remaining.get(e, 0) < m:
-                ok = False
-                break
-            remaining[e] -= m
-            if not remaining[e]:
-                del remaining[e]
-        if not ok:
-            continue
-        b_mset = GroupMultiset.from_counts(group, b_counts)
-        a_sofar: list[Elem] = [zero]
-
-        def place(rem: dict[Elem, int]):
-            if len(a_sofar) == a_size:
-                if not rem:
-                    a_counts: dict[Elem, int] = {}
-                    for e in a_sofar:
-                        a_counts[e] = a_counts.get(e, 0) + 1
-                    out.append((GroupMultiset.from_counts(group, a_counts), b_mset))
-                return
-            if not rem:
-                return
-            gamma = min(rem)
-            tried: set[Elem] = set()
-            for beta, _ in b_items:
-                alpha = group.sub(gamma, beta)
-                if alpha in tried:
-                    continue
-                tried.add(alpha)
-                shifted = {group.add(alpha, e): m for e, m in b_items}
-                if any(rem.get(e, 0) < m for e, m in shifted.items()):
-                    continue
-                nxt = dict(rem)
-                for e, m in shifted.items():
-                    nxt[e] -= m
-                    if not nxt[e]:
-                        del nxt[e]
-                a_sofar.append(alpha)
-                place(nxt)
-                a_sofar.pop()
-
-        place(remaining)
+    for second in sorted(seconds):
+        b_mset = GroupMultiset.from_iterable(group, second)
+        out += [(GroupMultiset.from_iterable(group, rows), b_mset)
+                for rows in _completions(group, counts, order, list(b_mset.elems), a_size)]
     return out
 
 

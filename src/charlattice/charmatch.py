@@ -212,11 +212,10 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     # Source weights in (norm, lex) order; target candidates share that order.
     order1 = sorted(range(n), key=lambda i: (gram1[i][i], d1[i]))
     order2 = sorted(range(n), key=lambda j: (gram2[j][j], d2[j]))
-    candidates = {
-        i: [j for j in order2 if m2[j] == m1[i] and gram2[j][j] == gram1[i][i]
-            and prof2[j] == prof1[i]]
-        for i in order1
-    }
+    targets: dict[tuple, list[int]] = {}
+    for j in order2:
+        targets.setdefault((m2[j], gram2[j][j], prof2[j]), []).append(j)
+    candidates = {i: targets.get((m1[i], gram1[i][i], prof1[i]), []) for i in order1}
 
     assignment: dict[int, int] = {}
     used: set[int] = set()

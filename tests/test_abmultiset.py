@@ -21,6 +21,8 @@ from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset,
                                     multiset_product)
 from charlattice.reps import SemisimpleAlgebra, irreducible_character
 
+from factor_reference import reference_canonical_form, reference_factorizations
+
 Z2 = AbGroup(torsion=1, free_rank=2)
 Z1 = AbGroup(torsion=1, free_rank=1)
 
@@ -244,6 +246,86 @@ def test_planted_factorization_is_found(pa, pb):
     decs = factorizations(prod, (a.size, b.size))
     planted = Decomposition(factors=(a, b)).key()
     assert planted in {d.key() for d in decs}
+
+
+def elems_of(decs):
+    return [[f.elems for f in d.factors] for d in decs]
+
+
+@st.composite
+def products(draw):
+    """A product in Z, Z^2 or Z/m x Z^{0,1} with its factor sizes.
+
+    With torsion, the first factor may be a whole subgroup of Z/m, so that
+    one second factor admits several first factors."""
+    torsion = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    group = AbGroup(torsion=torsion,
+                    free_rank=draw(st.sampled_from([1, 2] if torsion == 1 else [0, 1])))
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3),
+                                  (2, 5), (5, 2), (2, 6), (6, 2), (3, 4), (4, 3),
+                                  (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]))
+    elem = st.builds(lambda t, f: group.element(t, f),
+                     st.integers(0, torsion - 1),
+                     st.tuples(*[st.integers(-2, 2)] * group.free_rank))
+    factors = [GroupMultiset.from_iterable(group, draw(st.lists(elem, min_size=s, max_size=s)))
+               for s in shape]
+    periods = [d for d in range(2, torsion + 1) if torsion % d == 0 and d in shape]
+    if periods and draw(st.booleans()):
+        d = draw(st.sampled_from(periods))
+        sub = GroupMultiset.from_iterable(
+            group, [group.element(k * (torsion // d), (0,) * group.free_rank)
+                    for k in range(d)])
+        factors[shape.index(d)] = sub
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = multiset_product(prod, f)
+    return prod, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=products())
+def test_factorizations_match_reference_search(case):
+    prod, shape = case
+    assert elems_of(factorizations(prod, shape)) == \
+        elems_of(reference_factorizations(prod, shape))
+
+
+@pytest.mark.parametrize("torsion,shape", [(4, (2, 4)), (4, (4, 2)), (6, (3, 4)),
+                                           (6, (2, 6)), (6, (6, 2))])
+def test_periodic_products_match_reference_search(torsion, shape):
+    # Z/m x {0,1,2..} has many first factors per second factor.
+    g = AbGroup(torsion=torsion, free_rank=1)
+    rows = [g.element(t, (k,)) for t in range(torsion) for k in range(len(shape))]
+    prod = GroupMultiset.from_iterable(g, rows * (shape[0] * shape[1] // len(rows)))
+    decs = factorizations(prod, shape)
+    assert len(decs) > 1
+    assert elems_of(decs) == elems_of(reference_factorizations(prod, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(torsion=st.sampled_from([1, 2, 3, 4, 6]), free_rank=st.integers(0, 2),
+       data=st.data())
+def test_canonical_form_matches_every_translate(torsion, free_rank, data):
+    g = AbGroup(torsion=torsion, free_rank=free_rank)
+    rows = data.draw(st.lists(st.tuples(st.integers(0, torsion - 1),
+                                        st.tuples(*[st.integers(-2, 2)] * free_rank)),
+                              max_size=7))
+    a = GroupMultiset.from_iterable(g, rows)
+    assert canonical_form(a) == reference_canonical_form(a)
+
+
+@pytest.mark.parametrize("profile", [(1100, 2), (2, 1100)])
+def test_long_factor_needs_no_recursion(profile):
+    # The search is iterative, so a factor longer than the recursion limit
+    # is still found.
+    rng = random.Random(11)
+    spread = GroupMultiset.from_iterable(
+        Z2, [Z2.element(0, (rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)))
+             for _ in range(1100)])
+    pair = plane([(0, 0), (1, 7)])
+    planted = (spread, pair) if profile[0] == 1100 else (pair, spread)
+    decs = factorizations(multiset_product(spread, pair), profile)
+    assert [d.key() for d in decs] == [Decomposition(factors=planted).key()]
 
 
 # ---------------------------------------------------------------------------

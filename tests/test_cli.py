@@ -123,6 +123,21 @@ def test_factorize_grid(capsys, tmp_path):
     assert doc["profile"] == [2, 3]
 
 
+FACTORIZE_GOLDEN = json.loads((GOLDEN / "factorize_outputs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIZE_GOLDEN))
+def test_factorize_golden(capsys, tmp_path, name):
+    case = FACTORIZE_GOLDEN[name]
+    f = tmp_path / f"{name}.mset"
+    f.write_text(case["file"], encoding="utf-8")
+    for fmt in ("text", "structured"):
+        code, out, _ = run(capsys, "--format", fmt, "factorize", str(f),
+                           "--profile", case["profile"], "--torsion", str(case["torsion"]))
+        assert code == 0
+        assert out == case[fmt]
+
+
 def test_subsystems_b3(capsys):
     code, out, _ = run(capsys, "subsystems", "B3")
     assert code == 0
