@@ -7,27 +7,23 @@ from .rootsys import (CartanTypeError, ClassificationError, DiagramAutomorphisms
                       build_root_system, classify_simple_system,
                       diagram_automorphisms, dominant_representative,
                       equal_rank_subsystems, reflect_coords, type_a_equal_rank,
-                      weyl_group_order, weyl_orbit)
+                      weyl_orbit)
 from .reps import (AlgebraMismatchError, CatalogEntry, DimensionBoundError,
                    FormalCharacter, HighestWeight, SemisimpleAlgebra,
                    direct_sum, dual_highest_weight, enumerate_irreps_up_to_dim,
-                   irreducible_character, is_multiplicity_free, is_self_dual,
+                   irreducible_character, is_multiplicity_free,
                    multiplicity_free_catalog, negate_character,
                    restrict_to_subsystem, trivial_character, weight_multiset,
                    weyl_dimension)
-from .charmatch import (AltPowerStats, BilinearForm, CharIsomorphism,
-                        ConjugationMultiset, DegenerateFormError,
-                        MaxNormRecord, NonCompatibleInvolutionError,
-                        TypeACountReport, TypeARestrictionError,
-                        alt_power_stats, canonical_weight_form,
-                        char_inner_product, conjugation_sums, factor_scalars,
+from .charmatch import (AltPowerStats, CharIsomorphism, ConjugationMultiset,
+                        DegenerateFormError, MaxNormRecord,
+                        NonCompatibleInvolutionError, alt_power_stats,
+                        char_inner_product, conjugation_sums,
                         fixed_point_exists, max_norm_weights,
-                        negation_involution, same_formal_character,
-                        type_a_count_report)
+                        same_formal_character)
 from .abmultiset import (AbGroup, Decomposition, GroupMultiset, canonical_form,
-                         character_kronecker_split, equivalent,
                          factorization_count_bound, factorizations,
-                         generic_ratio_check, multiset_product)
+                         multiset_product)
 from .goursat import (GoursatError, GoursatReport, GoursatSpec,
                       TooManyFactorsError, goursat_rank, verify_goursat_lemma)
 from .verifycli import (AllowedPairsReport, CaseReport, CharacterFile,

@@ -15,11 +15,8 @@ completion are iterative, so long factors never meet the recursion limit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
-
-from .reps import FormalCharacter
 
 Elem = tuple[int, tuple[int, ...]]
 
@@ -52,9 +49,6 @@ class AbGroup:
 
     def sub(self, x: Elem, y: Elem) -> Elem:
         return self.add(x, self.neg(y))
-
-    def scale(self, n: int, x: Elem) -> Elem:
-        return ((n * x[0]) % self.torsion, tuple(n * a for a in x[1]))
 
 
 @dataclass(frozen=True)
@@ -102,25 +96,6 @@ def multiset_product(a: GroupMultiset, b: GroupMultiset) -> GroupMultiset:
             s = a.group.add(x, y)
             counts[s] = counts.get(s, 0) + mx * my
     return GroupMultiset.from_counts(a.group, counts)
-
-
-def equivalent(a: GroupMultiset, b: GroupMultiset) -> Elem | None:
-    """A translation carrying a onto b, or None.
-
-    Complete by construction: any witness must send a's first stored element
-    to some element of b, so all #b candidate shifts are tried.
-    """
-    if a.group != b.group or a.size != b.size:
-        return None
-    if not a.elems:
-        return a.group.zero()
-    base = a.elems[0][0]
-    b_counts = b.counts()
-    for target, _ in b.elems:
-        shift = a.group.sub(target, base)
-        if {a.group.add(e, shift): m for e, m in a.elems} == b_counts:
-            return shift
-    return None
 
 
 def canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
@@ -361,28 +336,3 @@ def factorizations(c: GroupMultiset, profile: tuple[int, ...]) -> tuple[Decompos
         if k not in found:
             found[k] = dec
     return tuple(found[k] for k in sorted(found))
-
-
-def generic_ratio_check(c: GroupMultiset, n: int) -> bool:
-    """Whether all distinct values of c stay distinct after scaling by n.
-
-    Only distinct stored values are compared; repeated values inside the
-    multiset are collapse-proof by definition and are not flagged here.
-    """
-    values = [e for e, _ in c.elems]
-    for x, y in itertools.combinations(values, 2):
-        if c.group.scale(n, c.group.sub(x, y)) == c.group.zero():
-            return False
-    return True
-
-
-def character_kronecker_split(fc: FormalCharacter, profile: tuple[int, ...]) -> tuple[Decomposition, ...]:
-    """Sumset factorizations of a character's weight multiset in Z^rank.
-
-    Each decomposition is a candidate splitting of the character into an
-    external tensor product, up to translation of each factor.
-    """
-    group = AbGroup(torsion=1, free_rank=fc.algebra.rank)
-    counts = {(0, w): m for w, m in fc.weights}
-    mset = GroupMultiset.from_counts(group, counts)
-    return factorizations(mset, profile)

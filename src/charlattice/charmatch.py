@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .linalg import Mat
-from .reps import FormalCharacter, SemisimpleAlgebra, negate_character
+from .reps import FormalCharacter
 from .rootsys import Coords, LatticeInvolution
 
 Q = Fraction
@@ -27,24 +26,6 @@ class DegenerateFormError(ValueError):
 
 class NonCompatibleInvolutionError(ValueError):
     """The involution does not act on the character's weight multiset."""
-
-
-class TypeARestrictionError(ValueError):
-    """An operation restricted to all-type-A algebras got something else."""
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """The induced inner product on weight space, in fundamental coordinates."""
-
-    algebra: SemisimpleAlgebra
-    matrix: Mat
-
-    def pair(self, v: Coords, w: Coords) -> Fraction:
-        return linalg.dot(v, linalg.matvec(self.matrix, w))
-
-    def norm2(self, w: Coords) -> Fraction:
-        return self.pair(w, w)
 
 
 def _moment_matrix(weighted, dim: int) -> list[list[Fraction]]:
@@ -59,8 +40,10 @@ def _moment_matrix(weighted, dim: int) -> list[list[Fraction]]:
     return m
 
 
-def char_inner_product(fc: FormalCharacter) -> BilinearForm:
-    """Dual of the sum-of-squares form of the character; needs a faithful character."""
+def char_inner_product(fc: FormalCharacter) -> Mat:
+    """Matrix, in fundamental coordinates, of the inner product the character
+    induces on weight space: the dual of its sum-of-squares form.  Needs a
+    faithful character."""
     try:
         dual = linalg.invert(_moment_matrix(fc.weights, fc.algebra.rank))
     except ValueError:
@@ -70,7 +53,7 @@ def char_inner_product(fc: FormalCharacter) -> BilinearForm:
         ]
         detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
         raise DegenerateFormError(f"character of {fc.algebra} is not faithful{detail}")
-    return BilinearForm(algebra=fc.algebra, matrix=dual)
+    return dual
 
 
 def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
@@ -80,55 +63,6 @@ def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
         out.append([w[pos:pos + st.rank] for w, _ in fc.weights])
         pos += st.rank
     return out
-
-
-@lru_cache(maxsize=None)
-def canonical_weight_form(alg: SemisimpleAlgebra) -> Mat:
-    """Block-diagonal Gram matrix of the fundamental weights.
-
-    On each factor (omega_i, omega_j) = (A^-1)_ij l_j / 2, with A the Cartan
-    matrix and l the squared simple-root lengths of the root datum.
-    """
-    rank = alg.rank
-    rows = [[Q(0)] * rank for _ in range(rank)]
-    pos = 0
-    for rs in alg.root_systems():
-        inv = linalg.invert(rs.cartan_matrix)
-        for i in range(rs.rank):
-            for j, l in enumerate(rs.root_lengths):
-                rows[pos + i][pos + j] = inv[i][j] * l / 2
-        pos += rs.rank
-    return tuple(tuple(r) for r in rows)
-
-
-def factor_scalars(fc: FormalCharacter) -> tuple[Fraction, ...]:
-    """Per-factor ratio of the induced form to the canonical form.
-
-    A Weyl-stable character induces, on each simple factor, a positive multiple
-    of the canonical form; the multiple is the character's own normalization.
-    """
-    form = char_inner_product(fc)
-    canon = canonical_weight_form(fc.algebra)
-    out = []
-    pos = 0
-    for st in fc.algebra.factors:
-        r = st.rank
-        scalar = None
-        for i in range(r):
-            for j in range(r):
-                c = canon[pos + i][pos + j]
-                if c:
-                    scalar = form.matrix[pos + i][pos + j] / c
-                    break
-            if scalar is not None:
-                break
-        for i in range(r):
-            for j in range(r):
-                if form.matrix[pos + i][pos + j] != scalar * canon[pos + i][pos + j]:
-                    raise AssertionError("induced form is not a factor multiple of the canonical form")
-        out.append(scalar)
-        pos += r
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,54 +209,6 @@ def _linear_witness(d1, d2, sigma: dict[int, int], rank: int):
 
 
 # ---------------------------------------------------------------------------
-# Type A counting constraints.
-
-
-@dataclass(frozen=True)
-class TypeACountReport:
-    """Factor-count comparison for two all-type-A algebras."""
-
-    counts1: tuple[tuple[int, int], ...]
-    counts2: tuple[tuple[int, int], ...]
-    violations: tuple[str, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
-
-
-def _a_counts(alg: SemisimpleAlgebra) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for st in alg.factors:
-        if st.family != "A":
-            raise TypeARestrictionError(f"{st} is not of type A")
-        counts[st.rank] = counts.get(st.rank, 0) + 1
-    return counts
-
-
-def type_a_count_report(alg1: SemisimpleAlgebra, alg2: SemisimpleAlgebra) -> TypeACountReport:
-    """Which A_n factor counts must agree for matching characters, and whether they do.
-
-    The count of A_n factors is rigid for n = 6 and all n >= 9; for n = 4 only
-    the parity is rigid.  Other ranks are unconstrained.
-    """
-    c1 = _a_counts(alg1)
-    c2 = _a_counts(alg2)
-    violations = []
-    for n in sorted(set(c1) | set(c2)):
-        a, b = c1.get(n, 0), c2.get(n, 0)
-        if n == 4 and a % 2 != b % 2:
-            violations.append(f"A4 factor counts {a} and {b} differ in parity")
-        if (n == 6 or n >= 9) and a != b:
-            violations.append(f"A{n} factor counts {a} and {b} must be equal")
-    return TypeACountReport(
-        counts1=tuple(sorted(c1.items())),
-        counts2=tuple(sorted(c2.items())),
-        violations=tuple(violations),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Closed-form alternating-power statistics, max-norm weights, conjugation sums.
 
 
@@ -370,7 +256,7 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
     algebras.
     """
     form = char_inner_product(fc)
-    norms = [(form.norm2(w), w) for w, _ in fc.weights]
+    norms = [(linalg.dot(w, linalg.matvec(form, w)), w) for w, _ in fc.weights]
     top = max(n for n, _ in norms)
     winners = tuple(w for n, w in norms if n == top)
     spans = linalg.rank([linalg.vec(w) for w in winners]) == fc.algebra.rank
@@ -425,29 +311,17 @@ def fixed_point_exists(fc: FormalCharacter, inv: LatticeInvolution) -> bool:
     return any(tuple(-c for c in inv.apply(w)) == w for w, _ in fc.weights)
 
 
-def negation_involution(rank: int) -> LatticeInvolution:
-    return LatticeInvolution.negation(rank)
-
-
 __all__ = [
     "AltPowerStats",
-    "BilinearForm",
     "CharIsomorphism",
     "ConjugationMultiset",
     "DegenerateFormError",
     "MaxNormRecord",
     "NonCompatibleInvolutionError",
-    "TypeACountReport",
-    "TypeARestrictionError",
     "alt_power_stats",
-    "canonical_weight_form",
     "char_inner_product",
     "conjugation_sums",
-    "factor_scalars",
     "fixed_point_exists",
     "max_norm_weights",
-    "negate_character",
-    "negation_involution",
     "same_formal_character",
-    "type_a_count_report",
 ]

@@ -147,10 +147,6 @@ def negate_character(fc: FormalCharacter) -> FormalCharacter:
         fc.algebra, {tuple(-c for c in w): m for w, m in fc.weights})
 
 
-def is_self_dual(fc: FormalCharacter) -> bool:
-    return fc == negate_character(fc)
-
-
 def is_multiplicity_free(fc: FormalCharacter) -> bool:
     return all(m == 1 for _, m in fc.weights)
 

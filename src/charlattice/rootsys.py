@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from . import linalg
 
@@ -38,14 +37,6 @@ _RANK_BOUNDS = {
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
-}
-
-_EXCEPTIONAL_WEYL_ORDER = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
 }
 
 
@@ -102,10 +93,6 @@ class RootSystem:
         return tuple(
             tuple(a * l for a, l in zip(row, self.root_lengths)) for row in self.cartan_matrix
         )
-
-    def all_roots(self) -> tuple[Coords, ...]:
-        return self.positive_roots + tuple(
-            tuple(-c for c in b) for b in self.positive_roots)
 
 
 def _diagram(stype: SimpleType) -> tuple[list[tuple[int, int]], Coords]:
@@ -228,17 +215,6 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         positive_roots=tuple(roots),
         positive_coroots=tuple(_coroot(lengths, b, w) for b, w in roots.items()),
     )
-
-
-def weyl_group_order(stype: SimpleType) -> int:
-    n = stype.rank
-    if stype.family == "A":
-        return factorial(n + 1)
-    if stype.family in "BC":
-        return 2**n * factorial(n)
-    if stype.family == "D":
-        return 2 ** (n - 1) * factorial(n)
-    return _EXCEPTIONAL_WEYL_ORDER[(stype.family, n)]
 
 
 def reflect_coords(rs: RootSystem, w: Coords, i: int) -> Coords:

@@ -10,6 +10,7 @@ verification run.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -617,54 +618,41 @@ def allowed_pairs(n: int) -> AllowedPairsReport:
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-_CASE_PARAMS: dict[str, dict[str, tuple[type, object]]] = {
-    "sl2k-selfdual": {"k": (int, 5)},
-    "sl2k-selfdual-exclusions": {},
-    "sl2k-nonselfdual-dims": {},
-    "e6-parity": {},
-    "so-selfdual": {"m": (int, 5)},
-    "so2m-conj-zero": {"m": (int, 4)},
-    "g2-sl3-coincidence": {},
-    "max-norm-bound": {"algebra": (str, "A2"), "hw": (str, "1,1")},
-    "sym-power-rigidity": {"n": (int, 3), "a": (int, 2)},
-    "goursat": {"factors": (str, "A2+A2+A2")},
-    "factorization-bound": {"a": (int, 2), "b": (int, 3), "seed": (int, 0)},
-}
-
-_CASE_FUNCS = {
-    "sl2k-selfdual": case_sl2k_selfdual,
-    "sl2k-selfdual-exclusions": case_sl2k_selfdual_exclusions,
-    "sl2k-nonselfdual-dims": case_sl2k_nonselfdual_dims,
-    "e6-parity": case_e6_parity,
-    "so-selfdual": case_so_selfdual,
-    "so2m-conj-zero": case_so2m_conj_zero,
-    "g2-sl3-coincidence": case_g2_sl3_coincidence,
-    "max-norm-bound": case_max_norm_bound,
-    "sym-power-rigidity": case_sym_power_rigidity,
-    "goursat": case_goursat,
-    "factorization-bound": case_factorization_bound,
+# Case id -> (function, type of each parameter it takes).
+_CASES: dict[str, tuple[Callable[..., CaseReport], dict[str, type]]] = {
+    "sl2k-selfdual": (case_sl2k_selfdual, {"k": int}),
+    "sl2k-selfdual-exclusions": (case_sl2k_selfdual_exclusions, {}),
+    "sl2k-nonselfdual-dims": (case_sl2k_nonselfdual_dims, {}),
+    "e6-parity": (case_e6_parity, {}),
+    "so-selfdual": (case_so_selfdual, {"m": int}),
+    "so2m-conj-zero": (case_so2m_conj_zero, {"m": int}),
+    "g2-sl3-coincidence": (case_g2_sl3_coincidence, {}),
+    "max-norm-bound": (case_max_norm_bound, {"algebra": str, "hw": str}),
+    "sym-power-rigidity": (case_sym_power_rigidity, {"n": int, "a": int}),
+    "goursat": (case_goursat, {"factors": str}),
+    "factorization-bound": (case_factorization_bound, {"a": int, "b": int, "seed": int}),
 }
 
 
 def known_cases() -> tuple[str, ...]:
-    return tuple(sorted(_CASE_FUNCS))
+    return tuple(sorted(_CASES))
 
 
 def run_case(case_id: str, params: dict[str, str] | None = None) -> CaseReport:
     """Run one case with string-valued parameters as they arrive from a CLI."""
-    if case_id not in _CASE_FUNCS:
+    if case_id not in _CASES:
         raise CaseError(f"unknown case {case_id!r}; known: {', '.join(known_cases())}")
-    spec = _CASE_PARAMS[case_id]
+    func, types = _CASES[case_id]
     kwargs = {}
     for key, raw in (params or {}).items():
-        if key not in spec:
+        if key not in types:
             raise CaseError(f"case {case_id} takes no parameter {key!r}")
-        conv = spec[key][0]
+        conv = types[key]
         try:
             kwargs[key] = conv(raw)
         except (TypeError, ValueError) as exc:
             raise CaseError(f"bad value for {key}: {raw!r}") from exc
-    return _CASE_FUNCS[case_id](**kwargs)
+    return func(**kwargs)
 
 
 def default_suite(seed: int = 0) -> list[tuple[str, dict]]:

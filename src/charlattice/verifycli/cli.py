@@ -140,6 +140,8 @@ def _cmd_factorize(args) -> int:
         profile = tuple(int(tok) for tok in args.profile.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse profile {args.profile!r}") from exc
+    if args.torsion < 1:
+        raise UsageError(f"--torsion must be at least 1, got {args.torsion}")
     mset = _read_multiset(args.file, args.torsion)
     decs = factorizations(mset, profile)
     lines = [f"{len(decs)} factorization(s)"]
@@ -221,7 +223,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"parameters look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
-    if args.seed is not None and "seed" in case_mod._CASE_PARAMS.get(args.case, {}):
+    case = case_mod._CASES.get(args.case)
+    if args.seed is not None and case and "seed" in case[1]:
         params.setdefault("seed", str(args.seed))
     report = case_mod.run_case(args.case, params)
     _emit(report.to_dict(), args.format, _render_report(report))
@@ -294,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_allowed_pairs)
 
-    p = sub.add_parser("verify", help="run one named case")
-    p.add_argument("case")
+    p = sub.add_parser("verify", help="run one named case",
+                       formatter_class=argparse.RawTextHelpFormatter)
+    p.add_argument("case", help="one of:\n" + "\n".join(case_mod.known_cases()))
     p.add_argument("-p", "--param", action="append",
                    help="case parameter as key=value (repeatable)")
     p.set_defaults(func=_cmd_verify)

@@ -1,15 +1,20 @@
-"""The benchmark's tracer wraps library functions by name.
+"""The benchmark keeps working against the library.
 
-benchmarks/spans.py lists them in LAYERS as (module, attribute) pairs and
-looks each one up with getattr in every traced run, so a renamed or deleted
-name would crash `benchmarks/run.py --trace 1` without failing any other test.
+benchmarks/spans.py lists the traced functions in LAYERS as (module,
+attribute) pairs and looks each one up with getattr in every traced run, so a
+renamed or deleted name would crash `benchmarks/run.py --trace 1` without
+failing any other test.  The benchmark's own unittest suite is run here too,
+since pytest does not collect it.
 """
 
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "benchmarks" / "spans.py"
 
 
 def load_spans() -> types.ModuleType:
@@ -31,3 +36,10 @@ def test_traced_names_resolve():
             if not callable(getattr(owner, fname, None)):
                 missing.append(f"{owner_name}.{fname}")
     assert missing == []
+
+
+def test_benchmark_unit_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "unittest", "discover", "-s", "benchmarks"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,11 @@
-"""Induced forms, the canonical form and the weight-multiset matching search.
+"""Induced forms, the weight-multiset matching search and the closed forms.
 
 The alternating-power statistics get an independent oracle that builds every
 subset weight explicitly and pairs them with the literal ambient form, sharing
-nothing with the closed-form path.  Witness matrices of the matching search
-are pinned in tests/golden/samechar_witnesses.json.
+nothing with the closed-form path; the closed-form norm is also checked on
+every weight of each alternating power, under the Gram matrix of the ambient
+fundamental weights from tests/ambient_oracle.py.  Witness matrices of the
+matching search are pinned in tests/golden/samechar_witnesses.json.
 """
 
 import itertools
@@ -15,15 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charlattice.charmatch import (AltPowerStats, BilinearForm,
-                                   DegenerateFormError,
+from ambient_oracle import ambient_root_system, gram
+from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
                                    NonCompatibleInvolutionError,
-                                   TypeARestrictionError, alt_power_stats,
-                                   canonical_weight_form, char_inner_product,
-                                   conjugation_sums, factor_scalars,
-                                   fixed_point_exists, max_norm_weights,
-                                   negation_involution, same_formal_character,
-                                   type_a_count_report)
+                                   alt_power_stats, char_inner_product,
+                                   conjugation_sums, fixed_point_exists,
+                                   max_norm_weights, same_formal_character)
+from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, negate_character,
                               trivial_character)
@@ -41,18 +41,18 @@ def char(name: str, hw) -> FormalCharacter:
 
 def test_sl2_std_raw_form():
     form = char_inner_product(char("A1", (1,)))
-    assert form.matrix == ((Q(1, 2),),)
+    assert form == ((Q(1, 2),),)
 
 
 def test_a1a1_product_std_raw_form():
     fc = char("A1+A1", (1, 1))
     form = char_inner_product(fc)
-    assert form.matrix == ((Q(1, 4), Q(0)), (Q(0), Q(1, 4)))
+    assert form == ((Q(1, 4), Q(0)), (Q(0), Q(1, 4)))
 
 
 def test_b2_vector_raw_form():
     form = char_inner_product(char("B2", (1, 0)))
-    assert form.matrix == ((Q(1, 2), Q(1, 4)), (Q(1, 4), Q(1, 4)))
+    assert form == ((Q(1, 2), Q(1, 4)), (Q(1, 4), Q(1, 4)))
 
 
 def test_degenerate_form_names_trivial_factor():
@@ -62,29 +62,18 @@ def test_degenerate_form_names_trivial_factor():
         char_inner_product(fc)
 
 
-def test_factor_scalars():
-    # ratio of the induced form to the canonical one, per factor
-    assert factor_scalars(char("A1", (1,))) == (Q(1),)
-    assert factor_scalars(char("A1", (2,))) == (Q(1, 4),)
-    scalars = factor_scalars(char("A1+A1", (1, 1)))
-    assert scalars == (Q(1, 2), Q(1, 2))
-    scalars = factor_scalars(char("A2+A1", (1, 0, 1)))
-    assert len(scalars) == 2 and all(s > 0 for s in scalars)
-
-
 # ---------------------------------------------------------------------------
 # Canonical form.
 
 def test_canonical_form_alt_power_norms():
     # every weight of the a-th alternating power of A_n has the closed-form norm
     for n in range(2, 6):
-        alg = SemisimpleAlgebra.parse(f"A{n}")
-        form = BilinearForm(alg, canonical_weight_form(alg))
+        form = gram(ambient_root_system(SimpleType("A", n)).fundamental_weights)
         for a in range(1, n + 1):
             want = Q(a * (n + 1 - a), n + 1)
             assert alt_power_stats(n, a).norm2 == want
             hw = tuple(1 if i == a - 1 else 0 for i in range(n))
-            assert all(form.norm2(w) == want for w, _ in char(f"A{n}", hw).weights)
+            assert all(dot(w, matvec(form, w)) == want for w, _ in char(f"A{n}", hw).weights)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +301,9 @@ def test_conjugation_sums_identity_doubles():
 
 def test_conjugation_sums_negation_collapses():
     fc = char("A2", (1, 0))
-    sums = conjugation_sums(fc, negation_involution(2)).sums
+    sums = conjugation_sums(fc, LatticeInvolution.negation(2)).sums
     assert sums.counts() == {(0, 0): 3}
-    assert fixed_point_exists(fc, negation_involution(2))
+    assert fixed_point_exists(fc, LatticeInvolution.negation(2))
 
 
 def test_involution_must_respect_multiset():
@@ -324,40 +313,3 @@ def test_involution_must_respect_multiset():
         fixed_point_exists(fc, shift)  # w -> -w is not a symmetry of Std
     with pytest.raises(NonCompatibleInvolutionError):
         conjugation_sums(char("A1", (1,)), LatticeInvolution.identity(2))
-
-
-# ---------------------------------------------------------------------------
-# Type A factor-count rigidity.
-
-def test_type_a_count_rigid_ranks():
-    r = type_a_count_report(SemisimpleAlgebra.parse("A6+A1"),
-                            SemisimpleAlgebra.parse("A6+A6"))
-    assert not r.consistent
-    assert any("A6" in v for v in r.violations)
-
-    r = type_a_count_report(SemisimpleAlgebra.parse("A9"),
-                            SemisimpleAlgebra.parse("A9+A9"))
-    assert not r.consistent
-
-    r = type_a_count_report(SemisimpleAlgebra.parse("A4+A4+A1"),
-                            SemisimpleAlgebra.parse("A1+A1"))
-    assert r.consistent  # two A4 factors keep the parity
-
-
-def test_type_a_count_parity_violation():
-    r = type_a_count_report(SemisimpleAlgebra.parse("A4"),
-                            SemisimpleAlgebra.parse("A4+A4"))
-    assert not r.consistent
-    assert any("parity" in v for v in r.violations)
-
-
-def test_type_a_count_free_ranks():
-    r = type_a_count_report(SemisimpleAlgebra.parse("A2+A2"),
-                            SemisimpleAlgebra.parse("A2"))
-    assert r.consistent
-
-
-def test_type_a_count_rejects_other_families():
-    with pytest.raises(TypeARestrictionError):
-        type_a_count_report(SemisimpleAlgebra.parse("B2"),
-                            SemisimpleAlgebra.parse("A2"))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from charlattice.verifycli.cases import known_cases
 from charlattice.verifycli.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +139,17 @@ def test_factorize_golden(capsys, tmp_path, name):
         assert out == case[fmt]
 
 
+def test_factorize_rejects_nonpositive_torsion(capsys, tmp_path):
+    f = tmp_path / "line.mset"
+    f.write_text("0\n1\n2\n3\n", encoding="utf-8")
+    for torsion in ("0", "-3"):
+        code, out, err = run(capsys, "factorize", str(f), "--profile", "2,2",
+                             "--torsion", torsion)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--torsion" in err
+
+
 def test_subsystems_b3(capsys):
     code, out, _ = run(capsys, "subsystems", "B3")
     assert code == 0
@@ -185,6 +197,14 @@ def test_verify_structured_doc(capsys):
     assert doc["case"] == "e6-parity"
     assert doc["verdict"] == "pass"
     assert all(s["pass"] for s in doc["steps"])
+
+
+def test_verify_help_names_every_case(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.split()
+    assert all(case in listed for case in known_cases())
 
 
 def test_verify_rejects_unknown_case(capsys):

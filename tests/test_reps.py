@@ -13,10 +13,9 @@ from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               HighestWeight, SemisimpleAlgebra, direct_sum,
                               dual_highest_weight, enumerate_irreps_up_to_dim,
                               irreducible_character, is_multiplicity_free,
-                              is_self_dual, multiplicity_free_catalog,
-                              negate_character, restrict_to_subsystem,
-                              trivial_character, weight_multiset,
-                              weyl_dimension)
+                              multiplicity_free_catalog, negate_character,
+                              restrict_to_subsystem, trivial_character,
+                              weight_multiset, weyl_dimension)
 from charlattice.rootsys import (SimpleType, build_root_system, reflect_coords,
                                  type_a_equal_rank)
 
@@ -120,7 +119,7 @@ def test_b3_spin_multiset():
     fc = char("B3", (0, 0, 1))
     assert fc.size == 8
     assert is_multiplicity_free(fc)
-    assert is_self_dual(fc)
+    assert fc == negate_character(fc)
 
 
 def test_c3_primitive_fundamental():
@@ -193,8 +192,9 @@ def test_direct_sum_and_trivial():
     s = direct_sum(char("A2", (1, 0)), char("A2", (0, 1)), trivial_character(a2))
     assert s.size == 7
     assert s.multiplicity((0, 0)) == 1
-    assert is_self_dual(s)
-    assert not is_self_dual(char("A2", (1, 0)))
+    assert s == negate_character(s)
+    std = char("A2", (1, 0))
+    assert std != negate_character(std)
 
 
 # ---------------------------------------------------------------------------
