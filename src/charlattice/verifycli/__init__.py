@@ -1,20 +1,3 @@
-from .cases import (AllowedPair, AllowedPairsReport, CaseError, CaseReport,
-                    Step, allowed_pairs, default_suite, known_cases, run_case)
-from .charfile import CharacterFile, CharFileError, read_character_file
-from .cli import main
-
-__all__ = [
-    "AllowedPair",
-    "AllowedPairsReport",
-    "CaseError",
-    "CaseReport",
-    "CharFileError",
-    "CharacterFile",
-    "Step",
-    "allowed_pairs",
-    "default_suite",
-    "known_cases",
-    "main",
-    "read_character_file",
-    "run_case",
-]
+"""The `charlattice` command line (`cli`), its verification cases (`cases`)
+and the character-file format (`charfile`).  Nothing is imported here, so a
+command loads only what it runs and `python -m ...cli` does not warn."""

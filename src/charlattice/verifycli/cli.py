@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from ..abmultiset import AbGroup, GroupMultiset, factorizations
-from ..charmatch import same_formal_character
+# Each command that needs more than reps and rootsys imports it itself, so a
+# `dim` query loads neither the searches nor the verification cases.
 from ..reps import (DimensionBoundError, SemisimpleAlgebra, HighestWeight,
                     irreducible_character, multiplicity_free_catalog, weyl_dimension)
 from ..rootsys import SimpleType, build_root_system, equal_rank_subsystems
-from . import cases as case_mod
-from .charfile import read_character_file
+
+if TYPE_CHECKING:
+    from ..abmultiset import GroupMultiset
+    from .cases import CaseReport
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -94,6 +97,9 @@ def _cmd_multfree(args) -> int:
 
 
 def _cmd_samechar(args) -> int:
+    from ..charmatch import same_formal_character
+    from .charfile import read_character_file
+
     first = read_character_file(args.first)
     second = read_character_file(args.second)
     witness = same_formal_character(first.character, second.character)
@@ -107,6 +113,8 @@ def _cmd_samechar(args) -> int:
 
 
 def _read_multiset(path: str, torsion: int) -> GroupMultiset:
+    from ..abmultiset import AbGroup, GroupMultiset
+
     rows = []
     with open(path, encoding="utf-8") as fh:
         for idx, raw in enumerate(fh, start=1):
@@ -136,6 +144,8 @@ def _read_multiset(path: str, torsion: int) -> GroupMultiset:
 
 
 def _cmd_factorize(args) -> int:
+    from ..abmultiset import factorizations
+
     try:
         profile = tuple(int(tok) for tok in args.profile.split(","))
     except ValueError as exc:
@@ -177,6 +187,8 @@ def _cmd_subsystems(args) -> int:
 
 
 def _cmd_allowed_pairs(args) -> int:
+    from . import cases as case_mod
+
     report = case_mod.allowed_pairs(args.n)
     pair_lines = [
         f"{p.stype} {','.join(str(c) for c in p.hw)} dim={p.dim} "
@@ -202,7 +214,7 @@ def _cmd_allowed_pairs(args) -> int:
     return EXIT_FAIL
 
 
-def _render_report(report: case_mod.CaseReport) -> list[str]:
+def _render_report(report: CaseReport) -> list[str]:
     lines = [f"case {report.case_id} "
              + (" ".join(f"{k}={v}" for k, v in report.inputs) or "(no inputs)")]
     for step in report.steps:
@@ -217,6 +229,8 @@ def _render_report(report: case_mod.CaseReport) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from . import cases as case_mod
+
     params: dict[str, str] = {}
     for item in args.param or []:
         if "=" not in item:
@@ -232,6 +246,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import cases as case_mod
+
     seed = args.seed if args.seed is not None else 0
     reports = [case_mod.run_case(case_id, params)
                for case_id, params in case_mod.default_suite(seed=seed)]
@@ -244,6 +260,18 @@ def _cmd_verify_paper(args) -> int:
            "passed": passed, "total": len(reports)},
           args.format, lines)
     return EXIT_OK if passed == len(reports) else EXIT_FAIL
+
+
+class _VerifyHelp(argparse.Action):
+    """`verify -h`: list the cases under `case` (the action in `const`) only
+    when help is printed, so that building the parser does not import them."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .cases import known_cases
+
+        self.const.help = "one of:\n" + "\n".join(known_cases())
+        parser.print_help()
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,9 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_allowed_pairs)
 
-    p = sub.add_parser("verify", help="run one named case",
+    p = sub.add_parser("verify", help="run one named case", add_help=False,
                        formatter_class=argparse.RawTextHelpFormatter)
-    p.add_argument("case", help="one of:\n" + "\n".join(case_mod.known_cases()))
+    case = p.add_argument("case")
+    p.add_argument("-h", "--help", action=_VerifyHelp, nargs=0, const=case,
+                   default=argparse.SUPPRESS, help="show this help message and exit")
     p.add_argument("-p", "--param", action="append",
                    help="case parameter as key=value (repeatable)")
     p.set_defaults(func=_cmd_verify)

@@ -8,6 +8,7 @@ since pytest does not collect it.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 import types
@@ -36,6 +37,39 @@ def test_traced_names_resolve():
             if not callable(getattr(owner, fname, None)):
                 missing.append(f"{owner_name}.{fname}")
     assert missing == []
+
+
+TRACED = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from charlattice.verifycli.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["samechar", sys.argv[2], sys.argv[2]])
+    main(["factorize", sys.argv[3], "--profile", "2,3"])
+print(" ".join(sorted({span[0] for span in tracer.spans})))
+"""
+
+
+def test_traced_commands_record_their_layers(tmp_path):
+    """Names a command imports when it runs still resolve to the wrappers
+    spans.install put on their home modules."""
+    char = tmp_path / "a1.char"
+    char.write_text("algebra: A1\nweights:\n-1 1\n1 1\n", encoding="utf-8")
+    grid = tmp_path / "grid.mset"
+    grid.write_text("".join(f"{x} {y}\n" for x in range(2) for y in range(3)),
+                    encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED, str(SPANS.parent), str(char), str(grid)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {"verifycli.main", "verifycli.read_character_file",
+            "charmatch.same_formal_character",
+            "abmultiset.factorizations"} <= set(proc.stdout.split())
 
 
 def test_benchmark_unit_tests_pass():

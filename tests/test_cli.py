@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, text and structured output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from charlattice.verifycli.cases import known_cases
 from charlattice.verifycli.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -175,6 +179,16 @@ def test_allowed_pairs_gate_failure(capsys):
     assert "rejected n=21" in err  # 21 = 3 * 7
 
 
+def test_allowed_pairs_refuses_n_above_cap(capsys):
+    code, _, _ = run(capsys, "allowed-pairs", "256")
+    assert code == 1  # answered: 4 divides 256
+    for n in ("257", "100000"):
+        code, out, err = run(capsys, "allowed-pairs", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n must be at most 256, got {n}\n"
+
+
 def test_allowed_pairs_structured_gate(capsys):
     code, out, _ = run(capsys, "--format", "structured", "allowed-pairs", "28")
     assert code == 1
@@ -259,3 +273,53 @@ def test_shorthand_needs_simple_algebra(capsys):
     code, _, err = run(capsys, "dim", "A1+A1", "w1")
     assert code == 2
     assert "simple" in err
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with src/ on its path and no bytecode written."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-B", *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+LOADED = """\
+import contextlib, io, sys
+from charlattice.verifycli.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(m[len("charlattice."):] for m in sys.modules
+                      if m.startswith("charlattice."))))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The charlattice submodules one command loads in a fresh interpreter."""
+    proc = python("-c", LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    grid = tmp_path / "grid.mset"
+    grid.write_text("".join(f"{x} {y}\n" for x in range(2) for y in range(3)),
+                    encoding="utf-8")
+    char = tmp_path / "a1.char"
+    char.write_text("algebra: A1\nweights:\n-1 1\n1 1\n", encoding="utf-8")
+
+    loaded = loaded_modules("dim", "A2", "1,1")
+    assert {"rootsys", "reps"} <= loaded
+    assert not loaded & {"charmatch", "abmultiset", "goursat", "verifycli.cases",
+                         "verifycli.charfile"}
+    loaded = loaded_modules("factorize", str(grid), "--profile", "2,3")
+    assert "abmultiset" in loaded
+    assert not loaded & {"charmatch", "goursat", "verifycli.cases"}
+    loaded = loaded_modules("samechar", str(char), str(char))
+    assert {"charmatch", "verifycli.charfile"} <= loaded
+    assert not loaded & {"abmultiset", "goursat", "verifycli.cases"}
+    loaded = loaded_modules("verify-paper")
+    assert {"charmatch", "abmultiset", "goursat", "verifycli.cases"} <= loaded
+
+
+def test_module_run_is_warning_free():
+    proc = python("-W", "error", "-m", "charlattice.verifycli.cli", "dim", "E7", "w7")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "56\n", "")
