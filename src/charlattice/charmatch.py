@@ -5,19 +5,23 @@ squares of weight evaluations); its dual form is the inner product the
 matching arguments use.  Any linear bijection carrying one weight multiset
 onto another is automatically an isometry for the two induced forms, so Gram
 data is a sound and complete pruning device for the matching search.
+
+The search and the induced norms run in integers: a form M^-1 is carried as
+det(M) and adj(M) = det(M) M^-1, and Fractions are built only for values that
+leave the module (witness matrices, norm2, char_inner_product).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .linalg import Mat
 from .reps import FormalCharacter
 from .rootsys import Coords, LatticeInvolution
-
-Q = Fraction
 
 
 class DegenerateFormError(ValueError):
@@ -28,9 +32,9 @@ class NonCompatibleInvolutionError(ValueError):
     """The involution does not act on the character's weight multiset."""
 
 
-def _moment_matrix(weighted, dim: int) -> list[list[Fraction]]:
+def _moment_matrix(weighted, dim: int) -> list[list[int]]:
     """Sum of mult * v v^T over the (v, mult) pairs, v of length dim."""
-    m = [[Q(0)] * dim for _ in range(dim)]
+    m = [[0] * dim for _ in range(dim)]
     for v, mult in weighted:
         for i in range(dim):
             if v[i]:
@@ -40,12 +44,11 @@ def _moment_matrix(weighted, dim: int) -> list[list[Fraction]]:
     return m
 
 
-def char_inner_product(fc: FormalCharacter) -> Mat:
-    """Matrix, in fundamental coordinates, of the inner product the character
-    induces on weight space: the dual of its sum-of-squares form.  Needs a
+def _form_adjugate(fc: FormalCharacter) -> tuple[int, Mat]:
+    """det(M) > 0 and adj(M) for the character's moment matrix M; needs a
     faithful character."""
     try:
-        dual = linalg.invert(_moment_matrix(fc.weights, fc.algebra.rank))
+        return linalg.det_adjugate(_moment_matrix(fc.weights, fc.algebra.rank))
     except ValueError:
         trivial = [
             str(st) for st, block in zip(fc.algebra.factors, _factor_blocks(fc))
@@ -53,7 +56,14 @@ def char_inner_product(fc: FormalCharacter) -> Mat:
         ]
         detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
         raise DegenerateFormError(f"character of {fc.algebra} is not faithful{detail}")
-    return dual
+
+
+def char_inner_product(fc: FormalCharacter) -> Mat:
+    """Matrix, in fundamental coordinates, of the inner product the character
+    induces on weight space: the dual of its sum-of-squares form.  Needs a
+    faithful character."""
+    det, adj = _form_adjugate(fc)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
@@ -77,17 +87,27 @@ class CharIsomorphism:
     target: FormalCharacter
     matrix: Mat
 
+    @cached_property
+    def _scaled(self) -> tuple[Mat, int]:
+        """(N, D) with matrix = N / D, D the least common denominator."""
+        den = lcm(*(c.denominator for row in self.matrix for c in row))
+        return tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                     for row in self.matrix), den
+
     def apply(self, w: Coords) -> Coords:
-        image = linalg.matvec(self.matrix, linalg.vec(w))
+        scaled, den = self._scaled
         out = []
-        for c in image:
-            if c.denominator != 1:
+        for x in linalg.matvec(scaled, w):
+            q, rem = divmod(x, den)
+            if rem:
                 raise AssertionError("witness maps a lattice point off the lattice")
-            out.append(int(c))
+            out.append(q)
         return tuple(out)
 
     def validate(self) -> bool:
-        linalg.invert(self.matrix)  # raises when singular
+        scaled, _ = self._scaled
+        if linalg.rank(scaled) != len(scaled):
+            raise ValueError("singular matrix")
         mapped: dict[Coords, int] = {}
         for w, m in self.source.weights:
             im = self.apply(w)
@@ -95,22 +115,24 @@ class CharIsomorphism:
         return mapped == self.target.counts()
 
 
-def _span_data(fc: FormalCharacter) -> tuple[int, Mat]:
-    """Rank of the weights' span and the induced Gram matrix of the distinct weights.
+def _span_data(fc: FormalCharacter) -> tuple[int, int, Mat]:
+    """Rank of the weights' span, det(M) and the integer Gram matrix C adj(M) C^T.
 
     With p the pivot columns of the distinct-weight matrix and R the rows of
     its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
-    integer entries at p are its coordinates c in the span basis R.  The Gram
-    matrix C M^-1 C^T, with M = sum mult c c^T, does not depend on that basis.
+    integer entries at p are its coordinates c in the span basis R.  Over
+    det(M), M = sum mult c c^T, it is the Gram matrix C M^-1 C^T, which does
+    not depend on that basis.
     """
     distinct = fc.distinct()
     pivots = linalg.pivot_columns(distinct)
     coords = [tuple(w[p] for p in pivots) for w in distinct]
-    moment = _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots))
-    left = linalg.matmul(coords, linalg.invert(moment))
-    # Rows of C M^-1 against rows of C; a rank-0 span gives an n x n zero matrix.
+    det, adj = linalg.det_adjugate(
+        _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots)))
+    left = linalg.matmul(coords, adj)
+    # Rows of C adj(M) against rows of C; a rank-0 span gives an n x n zero matrix.
     gram = tuple(tuple(linalg.dot(x, c) for c in coords) for x in left)
-    return len(pivots), gram
+    return len(pivots), det, gram
 
 
 def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
@@ -131,10 +153,14 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
         return None
     m1 = [m for _, m in fc1.weights]
     m2 = [m for _, m in fc2.weights]
-    span1, gram1 = _span_data(fc1)
-    span2, gram2 = _span_data(fc2)
+    span1, det1, gram1 = _span_data(fc1)
+    span2, det2, gram2 = _span_data(fc2)
     if span1 != span2:
         return None
+    # Both Gram matrices over the common denominator det1 * det2 > 0, so the
+    # integers compare and sort exactly as the rational Gram entries do.
+    gram1 = [[g * det2 for g in row] for row in gram1]
+    gram2 = [[g * det1 for g in row] for row in gram2]
 
     n = len(d1)
     prof1 = _row_profiles(gram1, m1)
@@ -180,18 +206,21 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     return None
 
 
-def _diag(gram: Mat):
+def _diag(gram):
     return (gram[i][i] for i in range(len(gram)))
 
 
-def _row_profiles(gram: Mat, mults: list[int]):
+def _row_profiles(gram, mults: list[int]):
     n = len(gram)
     return [tuple(sorted((gram[i][j], mults[j]) for j in range(n))) for i in range(n)]
 
 
 def _linear_witness(d1, d2, sigma: dict[int, int], rank: int):
-    """Extend a weight bijection to a full-rank matrix, or report None."""
-    pairs = [(linalg.vec(d1[i]), linalg.vec(d2[sigma[i]])) for i in sorted(sigma)]
+    """Extend a weight bijection to a full-rank matrix, or report None.
+
+    The map is T adj(B) / det(B) for the completed bases B and T as columns.
+    """
+    pairs = [(d1[i], d2[sigma[i]]) for i in sorted(sigma)]
     picked = linalg.pivot_columns(linalg.transpose([src for src, _ in pairs]))
     span_sources = [pairs[k][0] for k in picked]
     span_targets = [pairs[k][1] for k in picked]
@@ -199,13 +228,12 @@ def _linear_witness(d1, d2, sigma: dict[int, int], rank: int):
         return None
     full_src = linalg.extend_to_basis(span_sources, rank)
     full_tgt = linalg.extend_to_basis(span_targets, rank)
-    b = linalg.transpose(full_src)
-    t = linalg.transpose(full_tgt)
-    matrix = linalg.matmul(t, linalg.invert(b))
+    det, adj = linalg.det_adjugate(linalg.transpose(full_src))
+    scaled = linalg.matmul(linalg.transpose(full_tgt), adj)
     for src, tgt in pairs:
-        if linalg.matvec(matrix, src) != tgt:
+        if linalg.matvec(scaled, src) != tuple(det * t for t in tgt):
             return None
-    return matrix
+    return tuple(tuple(Fraction(x, det) for x in row) for row in scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +256,7 @@ def alt_power_stats(n: int, a: int) -> AltPowerStats:
     representation of sl_(n+1), under the standard normalization."""
     if not 1 <= a <= n:
         raise ValueError(f"need 1 <= a <= n, got a={a}, n={n}")
-    norm2 = Q(a * (n + 1 - a), n + 1)
+    norm2 = Fraction(a * (n + 1 - a), n + 1)
     return AltPowerStats(
         n=n,
         a=a,
@@ -255,13 +283,15 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
     type-A spanning bound, so callers interpret bound_ok for all-type-A
     algebras.
     """
-    form = char_inner_product(fc)
-    norms = [(linalg.dot(w, linalg.matvec(form, w)), w) for w, _ in fc.weights]
+    det, adj = _form_adjugate(fc)
+    # det(M) > 0, so the integer norms w^T adj(M) w order as the norms do.
+    norms = [(linalg.dot(w, linalg.matvec(adj, w)), w) for w, _ in fc.weights]
     top = max(n for n, _ in norms)
     winners = tuple(w for n, w in norms if n == top)
-    spans = linalg.rank([linalg.vec(w) for w in winners]) == fc.algebra.rank
+    spans = linalg.rank(winners) == fc.algebra.rank
     bound_ok = (not spans) or len(winners) >= fc.algebra.rank + 1
-    return MaxNormRecord(weights=winners, norm2=top, spans=spans, bound_ok=bound_ok)
+    return MaxNormRecord(weights=winners, norm2=Fraction(top, det), spans=spans,
+                         bound_ok=bound_ok)
 
 
 @dataclass(frozen=True)

@@ -548,7 +548,7 @@ class LatticeInvolution:
 
     @property
     def order(self) -> int:
-        return 1 if self.matrix == tuple(tuple(r) for r in linalg.identity(self.rank)) else 2
+        return 1 if self.matrix == linalg.identity(self.rank) else 2
 
     def apply(self, w: Coords) -> Coords:
         return tuple(int(sum(row[j] * w[j] for j in range(len(w)))) for row in self.matrix)

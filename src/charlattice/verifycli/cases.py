@@ -279,6 +279,8 @@ def _faithful_sums(alg: SemisimpleAlgebra, total: int):
         if i == len(irreps):
             return
         hw, d = irreps[i]
+        if d > remaining:  # irreps are sorted by dimension: no later one fits
+            return
         max_copies = remaining // d
         for copies in range(max_copies, -1, -1):
             rec(i + 1, remaining - copies * d, chosen + [(hw, d)] * copies)

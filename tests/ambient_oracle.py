@@ -7,10 +7,13 @@ This is the classical coordinate picture the library no longer uses:
 * E6, E7, E8 live in Q^8 (E6 and E7 as the spans of the first six and seven
   simple roots of E8); F4 lives in Q^4 and G2 in the sum-zero hyperplane of Q^3.
 
-All roots come from closing the simple roots under reflections, and the
-fundamental weights from inverting the Cartan matrix, all in Fractions.
-Nothing here imports the library's root datum, so the integer data built from
-the Cartan matrix can be checked against it.
+The roots of A-D are the closed-form lists e_i - e_j, +-e_i +- e_j, +-e_i and
++-2e_i; those of E, F and G come from closing the simple roots under
+reflections (test_rootsys checks the closed forms against that closure at
+rank <= 5).  The fundamental weights come from inverting the Cartan matrix.
+Everything is in Fractions, with the oracle's own dot product and inverse:
+nothing here imports the library's root datum or linear algebra, so the
+integer data built from the Cartan matrix can be checked against it.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from charlattice import linalg
-from charlattice.linalg import Vec
 from charlattice.rootsys import SimpleType
 
 Q = Fraction
+Vec = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -35,9 +37,30 @@ class AmbientRootSystem:
     fundamental_weights: tuple[Vec, ...]
 
 
+def dot(x: Vec, y: Vec) -> Fraction:
+    # most vectors here are roots, with few nonzero entries: skip zero products
+    return sum((a * b for a, b in zip(x, y) if a and b), Q(0))
+
+
+def inverse(m) -> tuple[Vec, ...]:
+    """Inverse of a nonsingular square matrix by Gauss-Jordan in Fractions."""
+    n = len(m)
+    work = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if work[i][c] != 0)
+        work[c], work[pivot] = work[pivot], work[c]
+        work[c] = [x / work[c][c] for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
 def pairing(v: Vec, root: Vec) -> Fraction:
     # <v, root^vee> = 2 (v, root) / (root, root)
-    return 2 * linalg.dot(v, root) / linalg.dot(root, root)
+    return 2 * dot(v, root) / dot(root, root)
 
 
 def _add(x: Vec, y: Vec) -> Vec:
@@ -110,6 +133,30 @@ def reflection_closure(generators: tuple[Vec, ...]) -> set[Vec]:
     return roots
 
 
+def all_roots(stype: SimpleType) -> set[Vec]:
+    """Every root of the realization: closed-form lists for A-D, the
+    reflection closure of the simple roots for E, F and G."""
+    fam, n = stype.family, stype.rank
+    if fam not in "ABCD":
+        return reflection_closure(simple_roots_for(stype)[1])
+    dim = n + 1 if fam == "A" else n
+    e = [_e(dim, i) for i in range(dim)]
+    if fam == "A":
+        return {_sub(e[i], e[j]) for i in range(dim) for j in range(dim) if i != j}
+    roots = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    roots.add(_add(_scale(Q(si), e[i]), _scale(Q(sj), e[j])))
+        for s in (1, -1):
+            if fam == "B":
+                roots.add(_scale(Q(s), e[i]))
+            elif fam == "C":
+                roots.add(_scale(Q(2 * s), e[i]))
+    return roots
+
+
 @lru_cache(maxsize=None)
 def ambient_root_system(stype: SimpleType) -> AmbientRootSystem:
     dim, simple = simple_roots_for(stype)
@@ -117,15 +164,16 @@ def ambient_root_system(stype: SimpleType) -> AmbientRootSystem:
     cartan = tuple(
         tuple(int(pairing(simple[i], simple[j])) for j in range(n)) for i in range(n)
     )
-    inv = linalg.invert(linalg.mat(cartan))
+    inv = inverse(cartan)
     fundamental = tuple(
-        tuple(sum((inv[i][j] * simple[j][k] for j in range(n)), Q(0)) for k in range(dim))
+        tuple(sum((inv[i][j] * simple[j][k] for j in range(n) if simple[j][k]), Q(0))
+              for k in range(dim))
         for i in range(n)
     )
     rho = tuple(sum(col, Q(0)) for col in zip(*fundamental))
-    positive = frozenset(r for r in reflection_closure(simple) if linalg.dot(rho, r) > 0)
+    positive = frozenset(r for r in all_roots(stype) if dot(rho, r) > 0)
     return AmbientRootSystem(stype, simple, cartan, positive, fundamental)
 
 
 def gram(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(linalg.dot(a, b) for b in vectors) for a in vectors)
+    return tuple(tuple(dot(a, b) for b in vectors) for a in vectors)

@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambient_oracle import ambient_root_system, gram
+from charlattice import linalg
 from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
                                    NonCompatibleInvolutionError,
                                    alt_power_stats, char_inner_product,
                                    conjugation_sums, fixed_point_exists,
-                                   max_norm_weights, same_formal_character)
+                                   _span_data, max_norm_weights,
+                                   same_formal_character)
 from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, negate_character,
@@ -162,6 +164,25 @@ def test_match_witnesses_golden():
         assert witness is not None and witness.validate()
         got[name] = [[str(c) for c in row] for row in witness.matrix]
     assert got == want
+
+
+def test_search_and_norms_stay_in_integers(monkeypatch):
+    e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
+    rank, det, span_gram = _span_data(e7)
+    assert rank == 7 and type(det) is int and det > 0
+    assert all(type(g) is int for row in span_gram for g in row)
+    # every dot product of the search, the witness check and the norms is an int
+    plain_dot = linalg.dot
+
+    def int_dot(x, y):
+        value = plain_dot(x, y)
+        assert type(value) is int
+        return value
+
+    monkeypatch.setattr(linalg, "dot", int_dot)
+    witness = same_formal_character(e7, negate_character(e7))
+    assert witness is not None and witness.validate()
+    assert len(max_norm_weights(char("A3", (2, 0, 0))).weights) == 4
 
 
 def test_match_across_factor_order():

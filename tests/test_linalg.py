@@ -92,3 +92,138 @@ def test_pivot_columns_and_extend_match_rank_loops(family):
     assert picked == greedy_by_rank(vectors)
     independent = [vectors[i] for i in picked]
     assert linalg.extend_to_basis(independent, dim) == extend_by_rank(independent, dim)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free elimination against Gauss-Jordan in Fractions.
+
+def reference_rref(rows, ncols=None):
+    """Reduced row echelon form in Fractions and its pivot columns, with the
+    library's pivot rule: left to right among the first ncols columns, each
+    from the first row at or below the current one with a nonzero entry."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+def cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+@st.composite
+def matrices(draw, square=False, integer=None):
+    """Small integer or rational matrices: some rows combine earlier ones,
+    some rows or one column are zero, and 0 rows or 1 x 1 occur."""
+    nrows = draw(st.integers(0, 4 if square else 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    if integer is None:
+        integer = draw(st.booleans())
+    entries = (st.integers(-3, 3) if integer
+               else st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "free", "combination", "zero"]))
+        if kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    if ncols and draw(st.booleans()):
+        dead = draw(st.integers(0, ncols - 1))
+        rows = [r[:dead] + [0] + r[dead + 1:] for r in rows]
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_pivots_and_rank_match_reference(m):
+    _, pivots = reference_rref(m)
+    assert linalg.pivot_columns(m) == pivots
+    assert linalg.rank(m) == len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True, integer=True))
+def test_det_adjugate_matches_cofactors(m):
+    n = len(m)
+    det = cofactor_det(m)
+    if det == 0:
+        with pytest.raises(ValueError):
+            linalg.det_adjugate(m)
+        return
+    got, adj = linalg.det_adjugate(m)
+    assert got == det
+    assert all(type(x) is int for row in adj for x in row)
+    scaled_identity = tuple(tuple(det * int(i == j) for j in range(n)) for i in range(n))
+    assert linalg.matmul(adj, m) == scaled_identity
+    assert linalg.matmul(m, adj) == scaled_identity
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_invert_matches_reference(m):
+    n = len(m)
+    aug, pivots = reference_rref([list(r) + [int(i == j) for j in range(n)]
+                                  for i, r in enumerate(m)], n)
+    if len(pivots) < n:
+        with pytest.raises(ValueError):
+            linalg.invert(m)
+        return
+    assert linalg.invert(m) == tuple(tuple(r[n:]) for r in aug)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_columns_matches_reference(columns, data):
+    dim = len(columns[0]) if columns else data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(columns),
+                                    max_size=len(columns)))
+        target = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(dim)]
+    else:
+        target = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    k = len(columns)
+    aug, pivots = reference_rref(
+        [[col[i] for col in columns] + [target[i]] for i in range(dim)], k)
+    got = linalg.solve_columns(columns, target)
+    if any(row[k] != 0 for row in aug[len(pivots):]):
+        assert got is None
+        return
+    want = [Fraction(0)] * k
+    for row, col in zip(aug, pivots):
+        want[col] = row[k]
+    assert got == tuple(want)
+    assert all(sum(g * col[i] for g, col in zip(got, columns)) == target[i]
+               for i in range(dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_extend_to_basis_matches_reference(m):
+    dim = len(m[0]) if m else 0
+    family = list(m) + [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    _, picked = reference_rref([list(col) for col in zip(*family)] if dim else [])
+    if picked[:len(m)] != list(range(len(m))):
+        with pytest.raises(ValueError):
+            linalg.extend_to_basis(m, dim)
+        return
+    assert linalg.extend_to_basis(m, dim) == tuple(family[i] for i in picked)

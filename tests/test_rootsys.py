@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ambient_oracle import ambient_root_system, gram, pairing
+from ambient_oracle import (all_roots, ambient_root_system, gram, pairing,
+                            reflection_closure, simple_roots_for)
 from charlattice.rootsys import (CartanTypeError, LatticeInvolution, SimpleType,
                                  build_root_system, classify_simple_system,
                                  diagram_automorphisms, dominant_representative,
@@ -75,6 +76,13 @@ def test_integer_datum_matches_ambient_oracle(name):
         assert co == tuple(pairing(w, vector) for w in amb.fundamental_weights)
     assert rs.symmetrized_form == tuple(
         tuple(2 * x for x in row) for row in gram(amb.simple_roots))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                  "B5", "C3", "C4", "C5", "D4", "D5"])
+def test_oracle_closed_form_roots_match_reflection_closure(name):
+    st = SimpleType.parse(name)
+    assert all_roots(st) == reflection_closure(simple_roots_for(st)[1])
 
 
 def test_cartan_matrices_frozen():
