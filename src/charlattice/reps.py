@@ -19,6 +19,7 @@ from .rootsys import (
     build_root_system,
     coroot,
     dominant_representative,
+    pairing,
     root_weight,
 )
 
@@ -156,12 +157,15 @@ def is_multiplicity_free(fc: FormalCharacter) -> bool:
 
 
 def _factor_dimension(rs: RootSystem, hw: Coords) -> int:
-    """Weyl's product of <lambda + rho, beta^vee> / <rho, beta^vee> over beta > 0."""
-    lam_rho = tuple(c + 1 for c in hw)  # lambda + rho in fundamental coordinates
+    """Weyl's product of (lambda + rho, beta) / (rho, beta) over beta > 0, each
+    side doubled as in rootsys.pairing: beta dotted with (lambda + rho) o l
+    and with rho o l = l."""
+    lengths = rs.root_lengths
+    shifted = tuple((c + 1) * l for c, l in zip(hw, lengths))
     num = den = 1
-    for co in rs.positive_coroots:
-        num *= sum(a * b for a, b in zip(lam_rho, co))
-        den *= sum(co)
+    for beta in rs.positive_roots:
+        num *= sum(a * b for a, b in zip(beta, shifted))
+        den *= sum(a * b for a, b in zip(beta, lengths))
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise AssertionError(f"dimension formula gave {num}/{den} for {rs.stype} {hw}")
@@ -185,10 +189,10 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
     The saturated weight set is generated from the highest weight by walking
     root strings downward; multiplicities are computed on dominant weights
     only and copied across each Weyl orbit.  Both sides of the recursion are
-    cleared to integers with the doubled form: for a weight v and a root
+    cleared to integers with rootsys.pairing: for a weight v and a root
     beta = sum c_k alpha_k, 2(v, beta) = sum_k v_k c_k l_k, and with
     lam - mu = sum d_k alpha_k the denominator 2((lam+rho)^2 - (mu+rho)^2)
-    is sum_k d_k l_k (lam + mu + 2 rho)_k.  Each multiplicity then takes one
+    is 2(lam + mu + 2 rho, lam - mu).  Each multiplicity then takes one
     exact integer division.
     """
     rs = build_root_system(stype)
@@ -245,7 +249,7 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
                     break
                 acc += mult[dom(v)] * sum(a * b for a, b in zip(v, u))
                 k += 1
-        denom = sum(dk * l * (a + b + 2) for dk, l, a, b in zip(d, lengths, hw, mu))
+        denom = pairing(rs, tuple(a + b + 2 for a, b in zip(hw, mu)), d)
         m, rem = divmod(2 * acc, denom)
         if rem or m <= 0:
             raise AssertionError(f"Freudenthal gave {2 * acc}/{denom} at {mu} in {stype} {hw}")
@@ -306,15 +310,6 @@ class CatalogEntry:
     label: str
 
 
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def multiplicity_free_catalog(stype: SimpleType, max_dim: int | None = None) -> tuple[CatalogEntry, ...]:
     """The multiplicity-free irreducibles of one simple type.
 
@@ -327,44 +322,50 @@ def multiplicity_free_catalog(stype: SimpleType, max_dim: int | None = None) -> 
     fam, m = stype.family, stype.rank
     entries: dict[Coords, CatalogEntry] = {}
 
-    def put(hw: Coords, dim: int, label: str) -> None:
+    def put(node: int, dim: int, label: str, coeff: int = 1) -> None:
         if max_dim is not None and dim > max_dim:
             return
+        hw = (0,) * node + (coeff,) + (0,) * (m - 1 - node)
         if hw not in entries:
             entries[hw] = CatalogEntry(stype, hw, dim, label)
 
     if fam == "A":
         if max_dim is None:
             raise ValueError("type A catalog is infinite; a max_dim bound is required")
-        for a in range(1, m + 1):
-            hw = tuple(1 if i == a - 1 else 0 for i in range(m))
-            label = "std" if a == 1 else ("std*" if a == m else f"alt^{a}(std)")
-            put(hw, _binomial(m + 1, a), label)
-        a = 2
-        while _binomial(m + a, a) <= max_dim:
-            put(tuple(a if i == 0 else 0 for i in range(m)),
-                _binomial(m + a, a), f"sym^{a}(std)")
-            put(tuple(a if i == m - 1 else 0 for i in range(m)),
-                _binomial(m + a, a), f"sym^{a}(std*)")
+        # alt^a and alt^(m+1-a) share the dimension C(m+1, a), which grows
+        # with a up to the middle; sym^a has C(m+a, a), which grows with a.
+        # Each loop stops at the first dimension above max_dim.
+        dim = 1
+        for a in range(1, (m + 1) // 2 + 1):
+            dim = dim * (m + 2 - a) // a
+            if dim > max_dim:
+                break
+            for b in {a, m + 1 - a}:
+                put(b - 1, dim, "std" if b == 1 else ("std*" if b == m else f"alt^{b}(std)"))
+        a, dim = 2, (m + 1) * (m + 2) // 2
+        while dim <= max_dim:
+            put(0, dim, f"sym^{a}(std)", a)
+            put(m - 1, dim, f"sym^{a}(std*)", a)
             a += 1
+            dim = dim * (m + a) // a
     elif fam == "B":
-        put(tuple(1 if i == 0 else 0 for i in range(m)), 2 * m + 1, "std")
-        put(tuple(1 if i == m - 1 else 0 for i in range(m)), 2**m, "spin")
+        put(0, 2 * m + 1, "std")
+        put(m - 1, 2**m, "spin")
     elif fam == "C":
-        put(tuple(1 if i == 0 else 0 for i in range(m)), 2 * m, "std")
+        put(0, 2 * m, "std")
         if m == 3:
-            put((0, 0, 1), 14, "alt^3(std)-primitive")
+            put(2, 14, "alt^3(std)-primitive")
     elif fam == "D":
-        put(tuple(1 if i == 0 else 0 for i in range(m)), 2 * m, "std")
-        put(tuple(1 if i == m - 2 else 0 for i in range(m)), 2 ** (m - 1), "half-spin")
-        put(tuple(1 if i == m - 1 else 0 for i in range(m)), 2 ** (m - 1), "half-spin")
+        put(0, 2 * m, "std")
+        put(m - 2, 2 ** (m - 1), "half-spin")
+        put(m - 1, 2 ** (m - 1), "half-spin")
     elif stype == SimpleType("E", 6):
-        put((1, 0, 0, 0, 0, 0), 27, "minuscule")
-        put((0, 0, 0, 0, 0, 1), 27, "minuscule")
+        put(0, 27, "minuscule")
+        put(5, 27, "minuscule")
     elif stype == SimpleType("E", 7):
-        put((0, 0, 0, 0, 0, 0, 1), 56, "minuscule")
+        put(6, 56, "minuscule")
     elif stype == SimpleType("G", 2):
-        put((1, 0), 7, "short-fundamental")
+        put(0, 7, "short-fundamental")
     # E8 and F4 admit no nontrivial multiplicity-free irreducible.
     return tuple(sorted(entries.values(), key=lambda e: (e.dim, e.hw)))
 
@@ -378,24 +379,23 @@ def _enumerate_simple(stype: SimpleType, dmax: int) -> list[tuple[Coords, int]]:
     rank = rs.rank
     out: list[tuple[Coords, int]] = []
 
-    def extend(prefix: list[int], pos: int) -> None:
-        coords = tuple(prefix + [0] * (rank - pos))
-        dim = _factor_dimension(rs, coords)
-        if dim > dmax:
-            return
+    def extend(prefix: list[int], dim: int) -> None:
+        # dim is the dimension at prefix padded with zeros, and at most dmax.
+        pos = len(prefix)
         if pos == rank:
-            out.append((coords, dim))
+            out.append((tuple(prefix), dim))
             return
-        value = 0
+        extend(prefix + [0], dim)
+        value = 1
         while True:
             candidate = prefix + [value]
             dim_here = _factor_dimension(rs, tuple(candidate + [0] * (rank - pos - 1)))
             if dim_here > dmax:
                 break
-            extend(candidate, pos + 1)
+            extend(candidate, dim_here)
             value += 1
 
-    extend([], 0)
+    extend([], 1)
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 

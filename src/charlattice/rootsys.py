@@ -3,15 +3,15 @@
 Each supported Cartan type is fixed by its Dynkin diagram in Bourbaki
 numbering and by the squared lengths l of its simple roots, taken from the
 classical coordinate realizations: 2 for every root of A, D and E; long 2 and
-short 1 in B and F4; short 2 and long 4 in C; short 2 and long 6 in G2.  The
-doubled form S = A diag(l) is an integer matrix with 2(x, y) = x^T S y for
-vectors x, y in simple-root coordinates, and every inner product in the
-package comes from it.
+short 1 in B and F4; short 2 and long 4 in C; short 2 and long 6 in G2.
 
-Roots are integer vectors in simple-root coordinates, coroots integer vectors
-in simple-coroot coordinates, and weights integer vectors in the
-fundamental-weight basis, so <w, beta^vee> is the plain dot product of a
-weight with a coroot.  No ambient vector space is ever built.
+Roots are integer vectors in simple-root coordinates and weights integer
+vectors in the fundamental-weight basis.  Since (omega_k, alpha_j) is
+delta_kj l_j / 2, a weight w meets a root beta through one integer pairing,
+2(w, beta) = sum_k w_k beta_k l_k, and every inner product in the package
+comes from it: two roots pair by first taking one to fundamental coordinates
+(row i of the Cartan matrix is alpha_i there).  No ambient vector space is
+ever built.
 """
 
 from __future__ import annotations
@@ -72,27 +72,18 @@ class RootSystem:
 
     cartan_matrix[i][j] = <alpha_i, alpha_j^vee>, so row i is alpha_i in
     fundamental coordinates; root_lengths[i] = (alpha_i, alpha_i).
-    positive_roots are in simple-root coordinates, ordered by height, and
-    positive_coroots[k] is the coroot of positive_roots[k] in simple-coroot
-    coordinates.
+    positive_roots are in simple-root coordinates, ordered by height, so the
+    highest root comes last.
     """
 
     stype: SimpleType
     cartan_matrix: tuple[Coords, ...]
     root_lengths: Coords
     positive_roots: tuple[Coords, ...]
-    positive_coroots: tuple[Coords, ...]
 
     @property
     def rank(self) -> int:
         return self.stype.rank
-
-    @property
-    def symmetrized_form(self) -> tuple[Coords, ...]:
-        """S = A diag(l), with 2(x, y) = x^T S y in simple-root coordinates."""
-        return tuple(
-            tuple(a * l for a, l in zip(row, self.root_lengths)) for row in self.cartan_matrix
-        )
 
 
 def _diagram(stype: SimpleType) -> tuple[list[tuple[int, int]], Coords]:
@@ -116,19 +107,13 @@ def _diagram(stype: SimpleType) -> tuple[list[tuple[int, int]], Coords]:
     raise CartanTypeError(f"unsupported family {fam!r}")
 
 
-def _cartan_from_gram(gram) -> tuple[Coords, ...]:
-    """<x_i, x_j^vee> = 2(x_i, x_j) / (x_j, x_j) from a doubled Gram matrix."""
-    n = len(gram)
-    return tuple(tuple(2 * gram[i][j] // gram[j][j] for j in range(n)) for i in range(n))
-
-
-def _positive_roots(cartan: tuple[Coords, ...]) -> dict[Coords, Coords]:
-    """Positive roots in simple-root coordinates, each mapped to its weight.
+def _positive_roots(cartan: tuple[Coords, ...]) -> tuple[Coords, ...]:
+    """Positive roots in simple-root coordinates.
 
     Roots are generated by height along alpha-strings: with p the number of
     steps the alpha_i-string through beta reaches below beta, beta + alpha_i
     is a root exactly when p > <beta, alpha_i^vee>.  Each p is recorded when
-    the root below is processed, one height earlier.  Insertion order is by
+    the root below is processed, one height earlier.  The roots come out by
     height, so the highest root comes last.
     """
     n = len(cartan)
@@ -155,19 +140,12 @@ def _positive_roots(cartan: tuple[Coords, ...]) -> dict[Coords, Coords]:
                     nxt.append(up)
                 down[up][i] = p + 1
         level = nxt
-    return weight
+    return tuple(weight)
 
 
-def _coroot(lengths: Coords, beta: Coords, weight: Coords) -> Coords:
-    """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates."""
-    norm2 = sum(c * w * l for c, w, l in zip(beta, weight, lengths))  # 2 (beta, beta)
-    out = []
-    for c, l in zip(beta, lengths):
-        k, rem = divmod(2 * c * l, norm2)
-        if rem:
-            raise AssertionError(f"non-integral coroot of {beta}")
-        out.append(k)
-    return tuple(out)
+def pairing(rs: RootSystem, w: Coords, beta: Coords) -> int:
+    """2(w, beta) for a weight w in fundamental and beta in simple-root coordinates."""
+    return sum(a * c * l for a, c, l in zip(w, beta, rs.root_lengths))
 
 
 def root_weight(rs: RootSystem, beta: Coords) -> Coords:
@@ -181,8 +159,16 @@ def root_weight(rs: RootSystem, beta: Coords) -> Coords:
 
 
 def coroot(rs: RootSystem, beta: Coords) -> Coords:
-    """The coroot of a root given in simple-root coordinates."""
-    return _coroot(rs.root_lengths, beta, root_weight(rs, beta))
+    """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates, which are
+    2 beta_k l_k / 2(beta, beta) since alpha_k = (l_k / 2) alpha_k^vee."""
+    norm2 = pairing(rs, root_weight(rs, beta), beta)
+    out = []
+    for c, l in zip(beta, rs.root_lengths):
+        k, rem = divmod(2 * c * l, norm2)
+        if rem:
+            raise AssertionError(f"non-integral coroot of {beta}")
+        out.append(k)
+    return tuple(out)
 
 
 _ROOT_COUNT = {
@@ -198,23 +184,21 @@ _ROOT_COUNT = {
 
 @lru_cache(maxsize=None)
 def build_root_system(stype: SimpleType) -> RootSystem:
-    """Construct the integer root datum of stype from its Dynkin diagram."""
+    """Construct the integer root datum of stype from its Dynkin diagram: a bond
+    has 2(alpha_i, alpha_j) = -max(l_i, l_j), so a_ij = -max(l_i, l_j) / l_j."""
     edges, lengths = _diagram(stype)
     n = stype.rank
-    gram = [[2 * lengths[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
-        gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j])
-    cartan = _cartan_from_gram(gram)
+        bond = max(lengths[i], lengths[j])
+        cartan[i][j] = -(bond // lengths[j])
+        cartan[j][i] = -(bond // lengths[i])
+    cartan = tuple(map(tuple, cartan))
     roots = _positive_roots(cartan)
     if 2 * len(roots) != _ROOT_COUNT[stype.family](n):
         raise AssertionError(f"root strings of {stype} produced {len(roots)} positive roots")
-    return RootSystem(
-        stype=stype,
-        cartan_matrix=cartan,
-        root_lengths=lengths,
-        positive_roots=tuple(roots),
-        positive_coroots=tuple(_coroot(lengths, b, w) for b, w in roots.items()),
-    )
+    return RootSystem(stype=stype, cartan_matrix=cartan, root_lengths=lengths,
+                      positive_roots=roots)
 
 
 def reflect_coords(rs: RootSystem, w: Coords, i: int) -> Coords:
@@ -292,9 +276,8 @@ class ClassificationError(ValueError):
 
 def _gram(rs: RootSystem, roots) -> list[list[int]]:
     """Doubled Gram matrix 2(x_i, x_j) of vectors in simple-root coordinates."""
-    form = rs.symmetrized_form
-    images = [tuple(sum(s * c for s, c in zip(row, x)) for row in form) for x in roots]
-    return [[sum(a * b for a, b in zip(x, sy)) for sy in images] for x in roots]
+    weights = [root_weight(rs, x) for x in roots]
+    return [[pairing(rs, w, y) for y in roots] for w in weights]
 
 
 def _classify_component(roots: list[Coords], gram) -> tuple[SimpleType, tuple[Coords, ...]]:
@@ -467,9 +450,10 @@ def _make_subsystem(rs: RootSystem, roots: tuple[Coords, ...]) -> Subsystem:
     )
 
 
-def _highest_root(rs: RootSystem, component: tuple[Coords, ...]) -> Coords:
-    """Highest root of the subsystem generated by one component's simple roots."""
-    top = next(reversed(_positive_roots(_cartan_from_gram(_gram(rs, component)))))
+def _highest_root(rs: RootSystem, ctype: SimpleType, component: tuple[Coords, ...]) -> Coords:
+    """Highest root of the subsystem generated by one component's simple roots,
+    which are in the standard numbering of their type ctype."""
+    top = build_root_system(ctype).positive_roots[-1]
     return tuple(
         sum(c * beta[k] for c, beta in zip(top, component)) for k in range(rs.rank))
 
@@ -491,8 +475,8 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
     while queue:
         sub = queue.pop()
         blocks = sub.component_root_blocks()
-        for b, block in enumerate(blocks):
-            extended = block + (tuple(-c for c in _highest_root(rs, block)),)
+        for b, (ctype, block) in enumerate(zip(sub.component_types, blocks)):
+            extended = block + (tuple(-c for c in _highest_root(rs, ctype, block)),)
             others = tuple(itertools.chain.from_iterable(
                 blk for c, blk in enumerate(blocks) if c != b
             ))

@@ -133,8 +133,6 @@ def _read_multiset(path: str, torsion: int) -> GroupMultiset:
         raise UsageError(f"{path}: rows of differing width")
     width = widths.pop()
     if torsion > 1:
-        if width < 1:
-            raise UsageError(f"{path}: torsion files need a leading coordinate")
         group = AbGroup(torsion=torsion, free_rank=width - 1)
         items = [(r[0], tuple(r[1:])) for r in rows]
     else:

@@ -30,4 +30,5 @@ def test_faithful_sums_match_unpruned_recursion(m):
     # _faithful_sums takes any total; the case's m <= 9 cap does not apply here
     for part in _partitions(m // 2):
         alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
-        assert _faithful_sums(alg, m) == reference_faithful_sums(alg, m)
+        irreps = enumerate_irreps_up_to_dim(alg, m)
+        assert _faithful_sums(alg, irreps, m) == reference_faithful_sums(alg, m)

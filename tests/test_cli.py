@@ -154,6 +154,20 @@ def test_factorize_rejects_nonpositive_torsion(capsys, tmp_path):
         assert err.startswith("error:") and "--torsion" in err
 
 
+@pytest.mark.parametrize("text,profile,message", [
+    ("0 1\n1 x\n", "2,1", "{path}:2: non-integer entry"),
+    ("# only a comment\n\n", "2,1", "{path}: no elements"),
+    ("0 1\n2\n", "2,1", "{path}: rows of differing width"),
+    ("0\n1\n", "2,x", "cannot parse profile '2,x'"),
+])
+def test_factorize_input_errors(capsys, tmp_path, text, profile, message):
+    f = tmp_path / "bad.mset"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "factorize", str(f), "--profile", profile)
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(path=f) + "\n"
+
+
 def test_subsystems_b3(capsys):
     code, out, _ = run(capsys, "subsystems", "B3")
     assert code == 0
@@ -180,13 +194,13 @@ def test_allowed_pairs_gate_failure(capsys):
 
 
 def test_allowed_pairs_refuses_n_above_cap(capsys):
-    code, _, _ = run(capsys, "allowed-pairs", "256")
-    assert code == 1  # answered: 4 divides 256
-    for n in ("257", "100000"):
+    code, _, _ = run(capsys, "allowed-pairs", "6000")
+    assert code == 1  # answered: 4 divides 6000
+    for n in ("6001", "100000"):
         code, out, err = run(capsys, "allowed-pairs", n)
         assert code == 2
         assert out == ""
-        assert err == f"error: n must be at most 256, got {n}\n"
+        assert err == f"error: n must be at most 6000, got {n}\n"
 
 
 def test_allowed_pairs_structured_gate(capsys):
@@ -211,6 +225,19 @@ def test_verify_structured_doc(capsys):
     assert doc["case"] == "e6-parity"
     assert doc["verdict"] == "pass"
     assert all(s["pass"] for s in doc["steps"])
+
+
+def test_verify_forwards_seed_to_cases_that_take_one(capsys):
+    code, out, _ = run(capsys, "--seed", "7", "verify", "factorization-bound")
+    assert code == 0
+    assert out.splitlines()[0] == "case factorization-bound a=2 b=3 seed=7"
+    code, out, _ = run(capsys, "--seed", "7", "verify", "factorization-bound",
+                       "-p", "seed=3")
+    assert code == 0
+    assert out.splitlines()[0] == "case factorization-bound a=2 b=3 seed=3"
+    code, out, _ = run(capsys, "--seed", "7", "verify", "e6-parity")
+    assert code == 0
+    assert out.splitlines()[0] == "case e6-parity (no inputs)"
 
 
 def test_verify_help_names_every_case(capsys):

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from ambient_oracle import (all_roots, ambient_root_system, gram, pairing,
+from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
+from ambient_oracle import pairing as ambient_pairing
+from charlattice.reps import HighestWeight, SemisimpleAlgebra, weyl_dimension
 from charlattice.rootsys import (CartanTypeError, LatticeInvolution, SimpleType,
-                                 build_root_system, classify_simple_system,
+                                 build_root_system, classify_simple_system, coroot,
                                  diagram_automorphisms, dominant_representative,
-                                 equal_rank_subsystems, reflect_coords,
+                                 equal_rank_subsystems, pairing, reflect_coords,
                                  type_a_equal_rank, weyl_orbit)
 
 ALL_TYPES = [
@@ -64,18 +66,40 @@ def test_integer_datum_matches_ambient_oracle(name):
     rs = build_root_system(st)
     amb = ambient_root_system(st)
     assert rs.cartan_matrix == amb.cartan_matrix
-    dim = len(amb.simple_roots[0])
-    vectors = [
-        tuple(sum((c * a[k] for c, a in zip(beta, amb.simple_roots)), Fraction(0))
-              for k in range(dim))
-        for beta in rs.positive_roots
-    ]
+    vectors = [_ambient(amb, beta) for beta in rs.positive_roots]
     assert len(vectors) == len(amb.positive_roots)
     assert set(vectors) == amb.positive_roots
-    for vector, co in zip(vectors, rs.positive_coroots):
-        assert co == tuple(pairing(w, vector) for w in amb.fundamental_weights)
-    assert rs.symmetrized_form == tuple(
-        tuple(2 * x for x in row) for row in gram(amb.simple_roots))
+    for beta, vector in zip(rs.positive_roots, vectors):
+        assert coroot(rs, beta) == tuple(ambient_pairing(w, vector)
+                                         for w in amb.fundamental_weights)
+    # row i of the Cartan matrix is alpha_i in fundamental coordinates
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    assert [[pairing(rs, row, unit) for unit in units] for row in rs.cartan_matrix] == [
+        [2 * x for x in row] for row in gram(amb.simple_roots)]
+
+
+def _ambient(amb, beta):
+    """A vector in simple-root coordinates, in the oracle's realization."""
+    return tuple(sum((c * a[k] for c, a in zip(beta, amb.simple_roots)), Fraction(0))
+                 for k in range(len(amb.simple_roots[0])))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_weyl_dimension_matches_ambient_product(name):
+    """Weyl's product of (lambda + rho, beta) / (rho, beta) in the oracle's
+    Fractions, for every fundamental weight and for rho."""
+    st = SimpleType.parse(name)
+    amb = ambient_root_system(st)
+    n = st.rank
+    rho = tuple(sum(col, Fraction(0)) for col in zip(*amb.fundamental_weights))
+    alg = SemisimpleAlgebra((st,))
+    for coords in [tuple(int(i == k) for i in range(n)) for k in range(n)] + [(1,) * n]:
+        shifted = tuple(sum((c * w[k] for c, w in zip(coords, amb.fundamental_weights)), r)
+                        for k, r in enumerate(rho))
+        product = Fraction(1)
+        for beta in amb.positive_roots:
+            product *= dot(shifted, beta) / dot(rho, beta)
+        assert weyl_dimension(alg, HighestWeight((coords,))) == product
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
@@ -172,6 +196,20 @@ def test_equal_rank_subsystem_signatures(name):
     assert sigs == SUBSYSTEM_TABLES[name]
     for s in subs:
         assert sum(t.rank for t in s.component_types) == rs.rank
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_subsystem_blocks_have_standard_cartan_matrices(name):
+    """Each block of selected_roots is in the standard numbering of its type,
+    which equal_rank_subsystems relies on to read off its highest root."""
+    st = SimpleType.parse(name)
+    amb = ambient_root_system(st)
+    for sub in equal_rank_subsystems(build_root_system(st)):
+        for ctype, block in zip(sub.component_types, sub.component_root_blocks()):
+            vectors = [_ambient(amb, beta) for beta in block]
+            cartan = tuple(tuple(int(ambient_pairing(x, y)) for y in vectors)
+                           for x in vectors)
+            assert cartan == ambient_root_system(ctype).cartan_matrix, (sub, ctype)
 
 
 def test_subsystems_have_full_rank_root_sets():
