@@ -5,16 +5,26 @@ multisets is the multiset of pairwise sums; two multisets are equivalent when
 one is a translate of the other.  Factorization into factors of prescribed
 sizes follows the determinacy argument: once one factor is pinned down to
 contain 0, the remaining rows are forced up to finitely many choices, which a
-small backtracking search enumerates completely.  The other factor is then a
-sub-multiset of the product that may be taken to hold the product's least
-element c0, and the search enumerates whichever of the two factors is
-smaller, so a (2, 8) split tries the 15 pairs through c0 rather than all
-12,870 eight-element sub-multisets.  Both the enumeration and the row
-completion are iterative, so long factors never meet the recursion limit.
+small backtracking search enumerates completely.  In Z^d, whose order is
+translation invariant, every row is forced outright, so each second factor
+has at most one first factor.  The other factor is then a sub-multiset of
+the product that may be taken to hold the product's least element c0, and
+the search enumerates whichever of the two factors is smaller, so a (2, 8)
+split tries the 15 pairs through c0 rather than all 12,870 eight-element
+sub-multisets.  Both the enumeration and the row completion are iterative,
+so long factors never meet the recursion limit.
+
+The search runs on elements packed into one int each: the torsion part most
+significant, then the free coordinates in balanced radix 6R + 1, where R is
+the largest |coordinate| of the multiset being factored.  Every value the
+search forms lies within +-3R, inside one digit, so adding and subtracting
+are int operations that never carry between coordinates, and int order is
+the order of (torsion, free) pairs.  Only the returned factors are decoded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -186,81 +196,173 @@ def _sub_multisets(counts: list[tuple[Elem, int]], size: int):
         left -= take - 1
 
 
-def _completions(group: AbGroup, counts: dict[Elem, int], order: list[Elem],
-                 b_items: list[tuple[Elem, int]], rows: int):
+class _Packing:
+    """Elements of Z/m x Z^d as single ints, for a factorization search over
+    a multiset whose coordinates lie within +-radius.
+
+    The search forms gamma - beta and alpha + e from elements of that
+    multiset, so every coordinate it meets lies within +-h, h = 3*radius.
+    (t, f) has code t*S + F + H: F writes f in radix W = 2h + 1 with digits
+    in [-h, h], the first coordinate most significant, S = W^d, and
+    H = S // 2 = h*(W^(d-1) + ... + W + 1) lifts every digit into [0, W).
+    W keeps every coordinate within +-h inside one digit, so no sum carries
+    into the next coordinate or the torsion and no two values share a code;
+    int order is (torsion, free) tuple order; and the sum of the elements
+    with codes x and y has code (x + y - H) % (m*S), their difference
+    (x - y + H) % (m*S).
+    """
+
+    def __init__(self, group: AbGroup, radius: int):
+        self.group = group
+        self.h = 3 * radius
+        self.width = 2 * self.h + 1
+        self.stride = self.width ** group.free_rank
+        self.half = self.stride // 2
+        self.modulus = group.torsion * self.stride
+
+    def pack(self, e: Elem) -> int:
+        x = e[0]
+        for c in e[1]:
+            x = x * self.width + c + self.h
+        return x
+
+    def unpack(self, x: int) -> Elem:
+        t, x = divmod(x, self.stride)
+        free = [0] * self.group.free_rank
+        for i in range(len(free) - 1, -1, -1):
+            x, digit = divmod(x, self.width)
+            free[i] = digit - self.h
+        return (t, tuple(free))
+
+    def multiset(self, items) -> GroupMultiset:
+        """The multiset of (code, multiplicity) pairs, decoded."""
+        counts: dict[int, int] = {}
+        for x, m in items:
+            counts[x] = counts.get(x, 0) + m
+        return GroupMultiset(self.group, tuple((self.unpack(x), m)
+                                               for x, m in sorted(counts.items())))
+
+
+def _completions(pk: _Packing, counts: dict[int, int], order: list[int],
+                 b_items: list[tuple[int, int]], rows: int):
     """Every A with 0 in A, #A = rows >= 2 and A + B = counts, as lists of rows.
 
-    Row 0 of A covers B itself.  The least element left over must then be
-    alpha + beta for a new row alpha and some beta in B, so each step tries
-    the distinct gamma - beta.  `order` lists the keys of `counts` sorted;
-    `counts` is decremented in place and restored once the search ends.
+    Elements are `pk` codes and `order` lists the keys of `counts` sorted.
+    Row 0 of A covers B itself.  The least element gamma left over must then
+    be alpha + beta for a new row alpha and some beta in B.
     """
+    if pk.group.torsion == 1:
+        forced = _forced_completion(pk, counts, order, b_items, rows)
+        return [] if forced is None else [forced]
+    return _searched_completions(pk, counts, order, b_items, rows)
+
+
+def _forced_completion(pk: _Packing, counts: dict[int, int], order: list[int],
+                       b_items: list[tuple[int, int]], rows: int):
+    """The only A of `_completions` in Z^d, or None.
+
+    The order of Z^d is translation invariant and everything below gamma is
+    used up, so the new row must have gamma as its least element: alpha is
+    gamma - min B, and every row is forced.  Codes of Z^d add without a
+    carry here, so alpha + e has code e + (gamma - min B).
+    """
+    least = b_items[0][0]
+    left = dict(counts)
+    for e, m in b_items:
+        left[e] -= m
+    alphas = [pk.half]  # the code of 0
+    start = 0
+    while len(alphas) < rows:
+        while not left[order[start]]:
+            start += 1
+        shift = order[start] - least
+        for e, m in b_items:
+            e += shift
+            k = left.get(e, 0) - m
+            if k < 0:
+                return None
+            left[e] = k
+        alphas.append(pk.half + shift)
+    return alphas
+
+
+def _searched_completions(pk: _Packing, counts: dict[int, int], order: list[int],
+                          b_items: list[tuple[int, int]], rows: int):
+    """The A's of `_completions` in Z/m x Z^d, m > 1, by backtracking.
+
+    Each row tries the distinct gamma - beta in turn.  `counts` is
+    decremented in place and restored once the search ends.
+    """
+    half, modulus = pk.half, pk.modulus
     for e, m in b_items:
         counts[e] -= m
-    alphas = [group.zero()]
-    # One frame per row being placed: [candidate rows, next candidate,
-    # placed shift of B or None, where in `order` the search for gamma starts].
-    stack = []
-
-    def push(start: int) -> None:
-        while not counts[order[start]]:
-            start += 1
-        gamma = order[start]
-        tried = list(dict.fromkeys(group.sub(gamma, beta) for beta, _ in b_items))
-        stack.append([tried, 0, None, start])
-
+    alphas = [half]  # the code of 0
+    # One frame per row being placed: (its candidate rows not yet tried,
+    # where in `order` its search for gamma started).  The candidates are
+    # distinct, as the beta are.  `placed[i]` is the shift of B that frame
+    # i's current row covers.
+    frames = []
+    placed = []
+    start = 0
     try:
-        push(0)
-        while stack:
-            frame = stack[-1]
-            tried, k, placed, start = frame
-            if placed is not None:
-                for e, m in placed:
+        while True:
+            while not counts[order[start]]:
+                start += 1
+            gamma = order[start] + half
+            frames.append((iter([(gamma - beta) % modulus for beta, _ in b_items]), start))
+            while frames:
+                candidates, start = frames[-1]
+                for alpha in candidates:
+                    base = alpha - half
+                    shifted = []
+                    for e, m in b_items:
+                        e = (base + e) % modulus
+                        if counts.get(e, 0) < m:
+                            break
+                        shifted.append((e, m))
+                    else:
+                        break
+                else:
+                    frames.pop()
+                    if placed:
+                        for e, m in placed.pop():
+                            counts[e] += m
+                        alphas.pop()
+                    continue
+                for e, m in shifted:
+                    counts[e] -= m
+                alphas.append(alpha)
+                placed.append(shifted)
+                if len(alphas) < rows:
+                    break  # open a frame for the next row
+                yield list(alphas)
+                for e, m in placed.pop():
                     counts[e] += m
                 alphas.pop()
-            while k < len(tried):
-                alpha = tried[k]
-                k += 1
-                shifted = []
-                for e, m in b_items:
-                    e = group.add(alpha, e)
-                    if counts.get(e, 0) < m:
-                        break
-                    shifted.append((e, m))
-                else:
-                    break
             else:
-                stack.pop()
-                continue
-            frame[1:3] = k, shifted
-            for e, m in shifted:
-                counts[e] -= m
-            alphas.append(alpha)
-            if len(alphas) == rows:
-                yield list(alphas)
-            else:
-                push(start)
+                return
     finally:
-        for e, m in b_items:
-            counts[e] += m
+        for shift in placed + [b_items]:
+            for e, m in shift:
+                counts[e] += m
 
 
-def _pinned_pairs(c: GroupMultiset, a_size: int, b_size: int):
+def _pinned_pairs(pk: _Packing, counts: dict[int, int], order: list[int],
+                  a_size: int, b_size: int):
     """(rows of A, B) for A + B = c with 0 in A and c's least element c0 in B.
 
-    B runs over sub-multisets of c in `_sub_multisets` order; the A's of one B
-    come in the order the forced-row search finds them.
+    c is given as the counts of its `pk` codes, `order` their sorted keys.
+    B runs over sub-multisets of c in `_sub_multisets` order; the A's of one
+    B come in the order the forced-row search finds them.
     """
-    order = [e for e, _ in c.elems]
-    counts = c.counts()
     head = order[0]
-    rest = [(head, counts[head] - 1)] + list(c.elems[1:])
+    rest = [(head, counts[head] - 1)] + [(e, counts[e]) for e in order[1:]]
     for tail in _sub_multisets(rest, b_size - 1):
         if tail and tail[0][0] == head:
             b_items = [(head, tail[0][1] + 1)] + tail[1:]
         else:
             b_items = [(head, 1)] + tail
-        for rows in _completions(c.group, counts, order, b_items, a_size):
+        for rows in _completions(pk, counts, order, b_items, a_size):
             yield rows, b_items
 
 
@@ -278,21 +380,26 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
     alpha in X, of which the least as a sorted list is the one a direct search
     reaches first.  Completing those second factors in sorted order yields the
     direct search's pairs that lead every class, in the same order.
+
+    The search runs on `_Packing` codes sized by c's largest coordinate;
+    only the returned factors are decoded.
     """
-    group = c.group
+    pk = _Packing(c.group, max((abs(x) for e, _ in c.elems for x in e[1]), default=0))
+    order = [pk.pack(e) for e, _ in c.elems]
+    counts = {x: m for x, (_, m) in zip(order, c.elems)}
     if b_size <= a_size:
-        return [(GroupMultiset.from_iterable(group, rows),
-                 GroupMultiset.from_counts(group, dict(b_items)))
-                for rows, b_items in _pinned_pairs(c, a_size, b_size)]
-    seconds = {min(tuple(sorted(group.add(r, alpha) for r in rows)) for alpha, _ in x_items)
-               for rows, x_items in _pinned_pairs(c, b_size, a_size)}
-    order = [e for e, _ in c.elems]
-    counts = c.counts()
+        return [(pk.multiset((r, 1) for r in rows), pk.multiset(b_items))
+                for rows, b_items in _pinned_pairs(pk, counts, order, a_size, b_size)]
+    half, modulus = pk.half, pk.modulus
+    seconds = {min(tuple(sorted((r + alpha - half) % modulus for r in rows))
+                   for alpha, _ in x_items)
+               for rows, x_items in _pinned_pairs(pk, counts, order, b_size, a_size)}
     out = []
     for second in sorted(seconds):
-        b_mset = GroupMultiset.from_iterable(group, second)
-        out += [(GroupMultiset.from_iterable(group, rows), b_mset)
-                for rows in _completions(group, counts, order, list(b_mset.elems), a_size)]
+        b_items = list(Counter(second).items())
+        b_mset = pk.multiset(b_items)
+        out += [(pk.multiset((r, 1) for r in rows), b_mset)
+                for rows in _completions(pk, counts, order, b_items, a_size)]
     return out
 
 
@@ -304,12 +411,14 @@ def factorization_count_bound(a: int, b: int) -> int:
 def factorizations(c: GroupMultiset, profile: tuple[int, ...]) -> tuple[Decomposition, ...]:
     """All inequivalent factorizations of c with the given factor sizes.
 
-    The profile sizes must multiply to #c; for profiles of length at least two
-    every size must exceed 1.  Factors within a decomposition may be rearranged
-    across equal sizes when comparing, and each factor is considered up to
-    translation.
+    The profile names at least one size, and its sizes must multiply to #c;
+    for profiles of length at least two every size must exceed 1.  Factors
+    within a decomposition may be rearranged across equal sizes when
+    comparing, and each factor is considered up to translation.
     """
     sizes = tuple(profile)
+    if not sizes:
+        raise ValueError("profile must name at least one factor size")
     prod = 1
     for s in sizes:
         prod *= s

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset,
+from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset, _Packing,
                                     canonical_form, factorization_count_bound,
                                     factorizations, multiset_product)
 from charlattice.reps import SemisimpleAlgebra, irreducible_character
@@ -160,6 +160,9 @@ def test_profile_validation():
         factorizations(grid, (6, 1))
     whole = factorizations(grid, (6,))
     assert len(whole) == 1 and whole[0].factors[0].counts() == grid.counts()
+    for c in (grid, plane([(0, 0)])):
+        with pytest.raises(ValueError, match="at least one factor size"):
+            factorizations(c, ())
 
 
 def test_count_bound_trivia():
@@ -246,19 +249,29 @@ def elems_of(decs):
 
 @st.composite
 def products(draw):
-    """A product in Z, Z^2 or Z/m x Z^{0,1} with its factor sizes.
+    """A product in Z, Z^2 or Z/m x Z^{0,1} with its factor sizes, or, in the
+    wide class, in Z/m x Z^3 with coordinates up to +-10^6 of either sign,
+    often at or next to 0 and the extremes, so that the search meets values
+    at the edge of the packing's radix.
 
     With torsion, the first factor may be a whole subgroup of Z/m, so that
     one second factor admits several first factors."""
     torsion = draw(st.sampled_from([1, 2, 3, 4, 6]))
-    group = AbGroup(torsion=torsion,
-                    free_rank=draw(st.sampled_from([1, 2] if torsion == 1 else [0, 1])))
+    if draw(st.booleans()):
+        free_rank, spread = 3, 10**6
+    else:
+        free_rank, spread = draw(st.sampled_from([1, 2] if torsion == 1 else [0, 1])), 2
+    group = AbGroup(torsion=torsion, free_rank=free_rank)
     shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3),
                                   (2, 5), (5, 2), (2, 6), (6, 2), (3, 4), (4, 3),
                                   (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]))
+    coord = st.integers(-spread, spread)
+    if spread > 2:
+        coord = st.one_of(st.sampled_from([-spread, 1 - spread, -1, 0, 1, spread - 1, spread]),
+                          coord)
     elem = st.builds(lambda t, f: group.element(t, f),
                      st.integers(0, torsion - 1),
-                     st.tuples(*[st.integers(-2, 2)] * group.free_rank))
+                     st.tuples(*[coord] * free_rank))
     factors = [GroupMultiset.from_iterable(group, draw(st.lists(elem, min_size=s, max_size=s)))
                for s in shape]
     periods = [d for d in range(2, torsion + 1) if torsion % d == 0 and d in shape]
@@ -274,7 +287,7 @@ def products(draw):
     return prod, shape
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(case=products())
 def test_factorizations_match_reference_search(case):
     prod, shape = case
@@ -292,6 +305,39 @@ def test_periodic_products_match_reference_search(torsion, shape):
     decs = factorizations(prod, shape)
     assert len(decs) > 1
     assert elems_of(decs) == elems_of(reference_factorizations(prod, shape))
+
+
+def coordinate_pair(data, h, sign):
+    """(x, y) with x, y and x + sign*y all within +-h, edges drawn often."""
+    edge = st.sampled_from([-h, h])
+    x = data.draw(st.one_of(edge, st.integers(-h, h)))
+    if sign > 0:
+        lo, hi = max(-h, -h - x), min(h, h - x)
+    else:
+        lo, hi = max(-h, x - h), min(h, x + h)
+    return x, data.draw(st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsion=st.sampled_from([1, 2, 3, 4, 6]), free_rank=st.integers(0, 3),
+       radius=st.one_of(st.integers(0, 3), st.integers(0, 10**6)), data=st.data())
+def test_packing_round_trip_order_and_arithmetic(torsion, free_rank, radius, data):
+    # A search over elements within +-radius forms values within +-3*radius;
+    # on all of them the codes must decode, sort and add like the elements.
+    g = AbGroup(torsion=torsion, free_rank=free_rank)
+    pk = _Packing(g, radius)
+    h = 3 * radius
+    torsions = st.integers(0, torsion - 1)
+    for sign, op, packed in ((1, g.add, lambda x, y: (x + y - pk.half) % pk.modulus),
+                             (-1, g.sub, lambda x, y: (x - y + pk.half) % pk.modulus)):
+        pairs = [coordinate_pair(data, h, sign) for _ in range(free_rank)]
+        x = (data.draw(torsions), tuple(p[0] for p in pairs))
+        y = (data.draw(torsions), tuple(p[1] for p in pairs))
+        for e in (x, y):
+            assert pk.unpack(pk.pack(e)) == e
+        assert (pk.pack(x) < pk.pack(y)) == (x < y)
+        assert (pk.pack(x) == pk.pack(y)) == (x == y)
+        assert pk.unpack(packed(pk.pack(x), pk.pack(y))) == op(x, y)
 
 
 @settings(max_examples=200, deadline=None)
