@@ -79,8 +79,11 @@ class GroupMultiset:
     @classmethod
     def from_counts(cls, group: AbGroup, counts: dict[Elem, int]) -> "GroupMultiset":
         items = tuple(sorted((e, m) for e, m in counts.items() if m))
-        if any(m < 0 for _, m in items):
-            raise ValueError("negative multiplicity")
+        for e, m in items:
+            if m < 0:
+                raise ValueError("negative multiplicity")
+            if not 0 <= e[0] < group.torsion or len(e[1]) != group.free_rank:
+                raise ValueError(f"{e} is not an element of {group}")
         return cls(group=group, elems=items)
 
     @property

@@ -12,6 +12,11 @@ delta_kj l_j / 2, a weight w meets a root beta through one integer pairing,
 comes from it: two roots pair by first taking one to fundamental coordinates
 (row i of the Cartan matrix is alpha_i there).  No ambient vector space is
 ever built.
+
+The diagram table `_diagram` is the only place the Bourbaki numbering is
+written down.  Every Cartan matrix is built from it by `_cartan`, and the
+components of a root subsystem are typed and put in standard order by
+matching their Cartan integers against `_cartan`'s matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 
@@ -183,9 +189,9 @@ _ROOT_COUNT = {
 
 
 @lru_cache(maxsize=None)
-def build_root_system(stype: SimpleType) -> RootSystem:
-    """Construct the integer root datum of stype from its Dynkin diagram: a bond
-    has 2(alpha_i, alpha_j) = -max(l_i, l_j), so a_ij = -max(l_i, l_j) / l_j."""
+def _cartan(stype: SimpleType) -> tuple[Coords, ...]:
+    """Cartan matrix of stype from its Dynkin diagram: a bond has
+    2(alpha_i, alpha_j) = -max(l_i, l_j), so a_ij = -max(l_i, l_j) / l_j."""
     edges, lengths = _diagram(stype)
     n = stype.rank
     cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -193,11 +199,17 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         bond = max(lengths[i], lengths[j])
         cartan[i][j] = -(bond // lengths[j])
         cartan[j][i] = -(bond // lengths[i])
-    cartan = tuple(map(tuple, cartan))
+    return tuple(map(tuple, cartan))
+
+
+@lru_cache(maxsize=None)
+def build_root_system(stype: SimpleType) -> RootSystem:
+    """Construct the integer root datum of stype from its Cartan matrix."""
+    cartan = _cartan(stype)
     roots = _positive_roots(cartan)
-    if 2 * len(roots) != _ROOT_COUNT[stype.family](n):
+    if 2 * len(roots) != _ROOT_COUNT[stype.family](stype.rank):
         raise AssertionError(f"root strings of {stype} produced {len(roots)} positive roots")
-    return RootSystem(stype=stype, cartan_matrix=cartan, root_lengths=lengths,
+    return RootSystem(stype=stype, cartan_matrix=cartan, root_lengths=_diagram(stype)[1],
                       positive_roots=roots)
 
 
@@ -262,12 +274,9 @@ class Subsystem:
         return tuple(sorted(self.component_types))
 
     def component_root_blocks(self) -> tuple[tuple[Coords, ...], ...]:
-        blocks = []
-        pos = 0
-        for ct in self.component_types:
-            blocks.append(self.selected_roots[pos:pos + ct.rank])
-            pos += ct.rank
-        return tuple(blocks)
+        ends = itertools.accumulate(ct.rank for ct in self.component_types)
+        return tuple(self.selected_roots[end - ct.rank:end]
+                     for ct, end in zip(self.component_types, ends))
 
 
 class ClassificationError(ValueError):
@@ -275,132 +284,73 @@ class ClassificationError(ValueError):
 
 
 def _gram(rs: RootSystem, roots) -> list[list[int]]:
-    """Doubled Gram matrix 2(x_i, x_j) of vectors in simple-root coordinates."""
-    weights = [root_weight(rs, x) for x in roots]
-    return [[pairing(rs, w, y) for y in roots] for w in weights]
+    """Doubled Gram matrix 2(x_i, x_j) of vectors in simple-root coordinates:
+    the pairing of root_weight(x_i) with x_j, lengths folded into the weight."""
+    weights = [tuple(map(mul, root_weight(rs, x), rs.root_lengths)) for x in roots]
+    return [[sum(map(mul, w, y)) for y in roots] for w in weights]
 
 
-def _classify_component(roots: list[Coords], gram) -> tuple[SimpleType, tuple[Coords, ...]]:
-    """Cartan type and standard ordering of one connected simple system."""
+def _place(a, keys, std, std_keys) -> list[int] | None:
+    """The least placement k_0, k_1, ... of the indices of a with
+    a[k_p][k_q] = std[p][q] throughout, by depth-first search; None if none.
+
+    A position bonded to an earlier one draws its candidates from the
+    neighbours of the first such, so a chain is placed in quadratic time.
+    """
+    r = len(std)
+    anchors = [next((q for q in range(p) if std[q][p]), None) for p in range(r)]
+    placed: list[int] = []
+
+    def candidates(p: int):
+        pool = range(r) if anchors[p] is None else (
+            j for j in range(r) if a[placed[anchors[p]]][j])
+        for k in pool:
+            if (k not in placed and keys[k] == std_keys[p]
+                    and all(a[k][placed[q]] == std[p][q] and a[placed[q]][k] == std[q][p]
+                            for q in range(p))):
+                yield k
+
+    pending = []  # per position up to the next one, the candidates not yet tried
+    while len(placed) < r:
+        if len(pending) == len(placed):
+            pending.append(candidates(len(placed)))
+        k = next(pending[-1], None)
+        if k is not None:
+            placed.append(k)
+            continue
+        pending.pop()
+        if not placed:
+            return None
+        placed.pop()
+    return placed
+
+
+def _match_component(roots: list[Coords], gram) -> tuple[SimpleType, tuple[Coords, ...]]:
+    """Cartan type and standard ordering of one connected simple system.
+
+    The component's Cartan integers a_ij = 2 g_ij / g_jj are matched against
+    the standard matrix of each type of its rank.  Positions 0..r-1 are filled
+    in turn by the least root whose entries against every root already placed
+    are the standard ones, backtracking on a dead end, so the first complete
+    placement is the lexicographically least standard ordering.
+    """
     r = len(roots)
-    if r == 1:
-        return SimpleType("A", 1), (roots[0],)
-    norm = [gram[i][i] for i in range(r)]
-    bond = {}
-    adj = {i: [] for i in range(r)}
-    for i, j in itertools.combinations(range(r), 2):
-        m = 4 * gram[i][j] ** 2 // (norm[i] * norm[j])  # <x_i, x_j^vee> <x_j, x_i^vee>
-        if m:
-            bond[(i, j)] = bond[(j, i)] = m
-            adj[i].append(j)
-            adj[j].append(i)
-    degrees = {i: len(adj[i]) for i in range(r)}
-    triple = [p for p, m in bond.items() if m == 3]
-    double = [p for p, m in bond.items() if m == 2]
-
-    if triple:
-        if r != 2:
-            raise ClassificationError("triple bond outside rank 2")
-        i, j = triple[0]
-        short, long_ = (i, j) if norm[i] < norm[j] else (j, i)
-        return SimpleType("G", 2), (roots[short], roots[long_])
-
-    if double:
-        if len(double) > 2:  # bond dict stores both orientations
-            raise ClassificationError("several double bonds")
-        return _classify_doubled(roots, norm, adj, degrees, double[0])
-
-    # Simply laced: a path is type A, one branch point is type D or E.
-    branch = [i for i in range(r) if degrees[i] == 3]
-    if not branch:
-        return _order_path(roots, adj, "A")
-    if len(branch) != 1 or any(degrees[i] > 3 for i in range(r)):
-        raise ClassificationError("not a path or single-branch tree")
-    return _classify_branched(roots, adj, branch[0])
-
-
-def _path_order(adj: dict[int, list[int]], start: int) -> list[int]:
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [k for k in adj[cur] if k != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
-def _order_path(roots: list[Coords], adj, family: str) -> tuple[SimpleType, tuple[Coords, ...]]:
-    ends = [i for i in range(len(roots)) if len(adj[i]) <= 1]
-    candidates = []
-    for e in ends:
-        order = _path_order(adj, e)
-        candidates.append(tuple(roots[i] for i in order))
-    candidates.sort()
-    return SimpleType(family, len(roots)), candidates[0]
-
-
-def _classify_doubled(roots, norm, adj, degrees, pair) -> tuple[SimpleType, tuple[Coords, ...]]:
-    r = len(roots)
-    i, j = pair
-    if degrees[i] == 2 and degrees[j] == 2:
-        if r != 4:
-            raise ClassificationError("interior double bond outside F4")
-        ends = [k for k in range(4) if degrees[k] == 1]
-        long_end = max(ends, key=lambda k: norm[k])
-        order = _path_order(adj, long_end)
-        if norm[order[0]] <= norm[order[-1]]:
-            raise ClassificationError("inconsistent F4 lengths")
-        return SimpleType("F", 4), tuple(roots[k] for k in order)
-    # Double bond at the end of a chain: short end node means B, long means C.
-    end_node = i if degrees[i] == 1 else j
-    if r == 2:
-        i, j = pair
-        long_, short = (i, j) if norm[i] > norm[j] else (j, i)
-        return SimpleType("B", 2), (roots[long_], roots[short])
-    far_ends = [k for k in range(r) if degrees[k] == 1 and k != end_node]
-    if len(far_ends) != 1:
-        raise ClassificationError("doubled diagram is not a chain")
-    order = _path_order(adj, far_ends[0])
-    family = "B" if norm[order[-1]] < norm[order[0]] else "C"
-    return SimpleType(family, r), tuple(roots[k] for k in order)
-
-
-def _classify_branched(roots, adj, branch: int) -> tuple[SimpleType, tuple[Coords, ...]]:
-    r = len(roots)
-    arms = []
-    for first in adj[branch]:
-        arm = [first]
-        prev, cur = branch, first
-        while True:
-            nxt = [k for k in adj[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms.append(arm)
-    arms.sort(key=lambda a: (len(a), roots[a[-1]]))
-    lengths = sorted(len(a) for a in arms)
-    if lengths[0] == 1 and lengths[1] == 1:
-        # Type D: the two short arms are the fork, the long arm leads in.
-        fork_a, fork_b, long_arm = arms[0], arms[1], arms[2]
-        order = list(reversed(long_arm)) + [branch]
-        tips = sorted([roots[fork_a[0]], roots[fork_b[0]]])
-        ordered = tuple(roots[k] for k in order) + (tips[0], tips[1])
-        return SimpleType("D", r), ordered
-    if lengths == [1, 2, r - 4] or lengths == [1, 2, 2]:
-        one = next(a for a in arms if len(a) == 1)
-        rest = [a for a in arms if a is not one]
-        rest.sort(key=lambda a: (len(a), tuple(roots[k] for k in a)))
-        two, tail = rest[0], rest[1]
-        if len(two) != 2:
-            raise ClassificationError("branched diagram is not of type E")
-        # Standard E numbering: a1 and a3 along the short arm, a2 on the spur,
-        # a4 at the branch, then the long tail.
-        order = [two[1], one[0], two[0], branch] + tail
-        return SimpleType("E", r), tuple(roots[k] for k in order)
-    raise ClassificationError(f"unrecognized branched diagram with arms {lengths}")
+    order = sorted(range(r), key=roots.__getitem__)
+    if any(gram[j][j] <= 0 or 2 * gram[i][j] % gram[j][j] for i in order for j in order):
+        raise ClassificationError("roots with a non-integral Cartan entry")
+    a = [[2 * gram[i][j] // gram[j][j] for j in order] for i in order]
+    keys = [tuple(sorted(row)) for row in a]
+    for family, (lo, hi) in _RANK_BOUNDS.items():
+        if r < lo or (hi is not None and r > hi):
+            continue
+        std = _cartan(SimpleType(family, r))
+        std_keys = [tuple(sorted(row)) for row in std]
+        if sorted(std_keys) != sorted(keys):
+            continue
+        placed = _place(a, keys, std, std_keys)
+        if placed is not None:
+            return SimpleType(family, r), tuple(roots[order[k]] for k in placed)
+    raise ClassificationError("roots do not form a simple system of finite type")
 
 
 def classify_simple_system(
@@ -409,35 +359,31 @@ def classify_simple_system(
     """Split a simple system of rs, in simple-root coordinates, into connected
     components with standard orderings.
 
-    Components are returned sorted by (type, ordered roots) so the result is
-    canonical for a given set of roots.
+    Each component is typed by matching its Cartan integers against the
+    standard matrix `_cartan` of each type of its rank, and its roots are put
+    in the lexicographically least standard ordering.  Components are returned
+    sorted by (type, ordered roots), so the result does not depend on the
+    order of roots.  Roots that match no type, such as a dependent set, raise
+    ClassificationError.
     """
     n = len(roots)
     gram = _gram(rs, roots)
-    adj = {i: set() for i in range(n)}
-    for i, j in itertools.combinations(range(n), 2):
-        if gram[i][j] != 0:
-            adj[i].add(j)
-            adj[j].add(i)
     seen: set[int] = set()
     components = []
     for i in range(n):
         if i in seen:
             continue
-        stack = [i]
-        comp = []
+        seen.add(i)
+        comp, stack = [], [i]
         while stack:
             k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
             comp.append(k)
-            stack.extend(adj[k] - seen)
-        stype, ordered = _classify_component(
-            [roots[k] for k in comp], [[gram[a][b] for b in comp] for a in comp])
-        components.append((stype, ordered))
-    components.sort(key=lambda c: (c[0], c[1]))
-    return tuple(components)
+            bonded = [j for j in range(n) if gram[k][j] and j not in seen]
+            seen.update(bonded)
+            stack += bonded
+        components.append(_match_component(
+            [roots[k] for k in comp], [[gram[a][b] for b in comp] for a in comp]))
+    return tuple(sorted(components))
 
 
 def _make_subsystem(rs: RootSystem, roots: tuple[Coords, ...]) -> Subsystem:
@@ -463,9 +409,12 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
 
     From each subsystem, each component is extended by the negative of its
     highest root and a single node is deleted; the process repeats until no new
-    subsystem appears.  Subsystems are deduplicated by their sorted Cartan-type
-    signature, which identifies Weyl-conjugate results at the granularity the
-    downstream arguments need.
+    subsystem appears.  Each candidate is classified by matching its components
+    against `_cartan`; a full match makes every component's Gram matrix a
+    positive multiple of a finite-type symmetrized Cartan matrix, so the rank
+    roots kept are independent and the subsystem has full rank.  Subsystems are
+    deduplicated by their sorted Cartan-type signature, which identifies
+    Weyl-conjugate results at the granularity the downstream arguments need.
     """
     start = _make_subsystem(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
                                       for i in range(rs.rank)))
@@ -481,10 +430,7 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
                 blk for c, blk in enumerate(blocks) if c != b
             ))
             for skip in range(len(extended)):
-                kept = others + extended[:skip] + extended[skip + 1:]
-                if linalg.rank(kept) != rs.rank:
-                    raise AssertionError("deletion lost rank")
-                candidate = _make_subsystem(rs, kept)
+                candidate = _make_subsystem(rs, others + extended[:skip] + extended[skip + 1:])
                 if candidate.signature not in seen:
                     seen.add(candidate.signature)
                     out.append(candidate)
@@ -547,36 +493,27 @@ class LatticeInvolution:
 
     @classmethod
     def from_node_permutation(cls, perm: dict[int, int], rank: int) -> "LatticeInvolution":
-        return cls(_permutation_matrix(perm, rank))
-
-
-def _permutation_matrix(perm: dict[int, int], rank: int) -> tuple[Coords, ...]:
-    full = {i: perm.get(i, i) for i in range(rank)}
-    return tuple(tuple(1 if j == full[i] else 0 for j in range(rank)) for i in range(rank))
+        return cls(tuple(tuple(int(j == perm.get(i, i)) for j in range(rank))
+                         for i in range(rank)))
 
 
 @dataclass(frozen=True)
 class DiagramAutomorphisms:
-    """Diagram automorphisms of one simple type, split by element order."""
+    """The diagram automorphisms of one simple type that square to the identity."""
 
     stype: SimpleType
     involutions: tuple[LatticeInvolution, ...]
-    order3: tuple[tuple[Coords, ...], ...]
-
-    @property
-    def group_order(self) -> int:
-        return len(self.involutions) + len(self.order3)
 
 
 def diagram_automorphisms(stype: SimpleType) -> DiagramAutomorphisms:
-    """Diagram automorphisms as maps on fundamental coordinates.
+    """Diagram involutions as maps on fundamental coordinates.
 
-    The returned involutions include the identity; for D4 the two rotations of
-    the fork are reported separately since they do not square to the identity.
+    The returned involutions include the identity; for D4 they are the three
+    swaps of two fork tips, and the two rotations of the fork are left out
+    since they do not square to the identity.
     """
     n = stype.rank
     invs = [LatticeInvolution.identity(n)]
-    order3: tuple = ()
     if stype.family == "A" and n >= 2:
         invs.append(LatticeInvolution.from_node_permutation(
             {i: n - 1 - i for i in range(n)}, n))
@@ -584,12 +521,8 @@ def diagram_automorphisms(stype: SimpleType) -> DiagramAutomorphisms:
         # The fork tips are nodes 0, 2, 3 in standard numbering.
         for a, b in ((0, 2), (0, 3), (2, 3)):
             invs.append(LatticeInvolution.from_node_permutation({a: b, b: a}, n))
-        order3 = (
-            _permutation_matrix({0: 2, 2: 3, 3: 0}, n),
-            _permutation_matrix({0: 3, 3: 2, 2: 0}, n),
-        )
     elif stype.family == "D" and n >= 5:
         invs.append(LatticeInvolution.from_node_permutation({n - 2: n - 1, n - 1: n - 2}, n))
     elif stype == SimpleType("E", 6):
         invs.append(LatticeInvolution.from_node_permutation({0: 5, 5: 0, 2: 4, 4: 2}, n))
-    return DiagramAutomorphisms(stype=stype, involutions=tuple(invs), order3=order3)
+    return DiagramAutomorphisms(stype=stype, involutions=tuple(invs))

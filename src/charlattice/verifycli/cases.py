@@ -645,13 +645,18 @@ def known_cases() -> tuple[str, ...]:
     return tuple(sorted(_CASES))
 
 
-def run_case(case_id: str, params: dict[str, str] | None = None) -> CaseReport:
-    """Run one case with string-valued parameters as they arrive from a CLI."""
+def run_case(case_id: str, params: dict[str, str] | None = None,
+             seed: int | None = None) -> CaseReport:
+    """Run one case with string-valued parameters as they arrive from a CLI;
+    a seed applies to a case that takes one unless params set it."""
     if case_id not in _CASES:
         raise CaseError(f"unknown case {case_id!r}; known: {', '.join(known_cases())}")
     func, types = _CASES[case_id]
+    params = dict(params or {})
+    if seed is not None and "seed" in types:
+        params.setdefault("seed", str(seed))
     kwargs = {}
-    for key, raw in (params or {}).items():
+    for key, raw in params.items():
         if key not in types:
             raise CaseError(f"case {case_id} takes no parameter {key!r}")
         conv = types[key]

@@ -235,10 +235,7 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"parameters look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = value.strip()
-    case = case_mod._CASES.get(args.case)
-    if args.seed is not None and case and "seed" in case[1]:
-        params.setdefault("seed", str(args.seed))
-    report = case_mod.run_case(args.case, params)
+    report = case_mod.run_case(args.case, params, seed=args.seed)
     _emit(report.to_dict(), args.format, _render_report(report))
     return EXIT_OK if report.verdict else EXIT_FAIL
 

@@ -9,6 +9,7 @@ two only have per-element arithmetic in common.
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,19 @@ def test_profile_validation():
     for c in (grid, plane([(0, 0)])):
         with pytest.raises(ValueError, match="at least one factor size"):
             factorizations(c, ())
+
+
+def test_from_counts_rejects_non_elements():
+    """A torsion part outside [0, m) once gave silently wrong factorizations:
+    with 7 for 2 below, profile (2, 2) found none instead of one."""
+    group = AbGroup(5, 1)
+    good = GroupMultiset.from_counts(group, {(2, (1,)): 2, (4, (2,)): 1, (0, (0,)): 1})
+    assert len(factorizations(good, (2, 2))) == 1
+    for bad in ({(7, (1,)): 2, (4, (2,)): 1, (0, (0,)): 1},
+                {(-1, (1,)): 1}, {(0, (1, 2)): 1}, {(0, ()): 1}):
+        elem = next(iter(bad))
+        with pytest.raises(ValueError, match=re.escape(str(elem))):
+            GroupMultiset.from_counts(group, bad)
 
 
 def test_count_bound_trivia():

@@ -174,6 +174,17 @@ def test_subsystems_b3(capsys):
     assert set(out.split()) == {"B3", "A3", "A1+A1+A1"}
 
 
+SUBSYSTEMS_GOLDEN = json.loads((GOLDEN / "subsystems_outputs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(SUBSYSTEMS_GOLDEN))
+def test_subsystems_golden(capsys, name):
+    for fmt in ("text", "structured"):
+        code, out, _ = run(capsys, "--format", fmt, "subsystems", name)
+        assert code == 0
+        assert out == SUBSYSTEMS_GOLDEN[name][fmt]
+
+
 def test_allowed_pairs_27(capsys):
     code, out, _ = run(capsys, "allowed-pairs", "27")
     assert code == 0

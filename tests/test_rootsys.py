@@ -1,15 +1,20 @@
 """Root system construction against the frozen classical tables."""
 
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
 from ambient_oracle import pairing as ambient_pairing
 from charlattice.reps import HighestWeight, SemisimpleAlgebra, weyl_dimension
-from charlattice.rootsys import (CartanTypeError, LatticeInvolution, SimpleType,
-                                 build_root_system, classify_simple_system, coroot,
+from charlattice.rootsys import (CartanTypeError, ClassificationError, LatticeInvolution,
+                                 SimpleType, build_root_system, classify_simple_system, coroot,
                                  diagram_automorphisms, dominant_representative,
                                  equal_rank_subsystems, pairing, reflect_coords,
                                  type_a_equal_rank, weyl_orbit)
@@ -157,6 +162,90 @@ def test_classification_recovers_each_type(name):
     assert tuple(t for t, _ in components) == (st,)
 
 
+# Every type through rank 8.
+RANK8_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+               + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _simple_roots(rs):
+    return tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+
+
+@pytest.mark.parametrize("name", RANK8_TYPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_classification_ignores_root_order(name, data):
+    st_ = SimpleType.parse(name)
+    rs = build_root_system(st_)
+    simple = _simple_roots(rs)
+    expected = classify_simple_system(rs, simple)
+    assert tuple(t for t, _ in expected) == (st_,)
+    shuffled = tuple(data.draw(st.permutations(simple)))
+    assert classify_simple_system(rs, shuffled) == expected
+
+
+@pytest.mark.parametrize("name", ["B5", "E7"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_subsystem_classification_ignores_root_order(name, data):
+    rs = build_root_system(SimpleType.parse(name))
+    subs = equal_rank_subsystems(rs)
+    sub = subs[data.draw(st.integers(0, len(subs) - 1))]
+    shuffled = tuple(data.draw(st.permutations(sub.selected_roots)))
+    assert classify_simple_system(rs, shuffled) == tuple(
+        zip(sub.component_types, sub.component_root_blocks()))
+
+
+@pytest.mark.parametrize("name", RANK8_TYPES)
+def test_extended_diagram_is_not_a_simple_system(name):
+    """The simple roots and -theta are dependent: no Cartan type matches them."""
+    rs = build_root_system(SimpleType.parse(name))
+    extended = _simple_roots(rs) + (tuple(-c for c in rs.positive_roots[-1]),)
+    with pytest.raises(ClassificationError):
+        classify_simple_system(rs, extended)
+
+
+@pytest.mark.parametrize("roots", [((0,),), ((1,), (3,)), ((1,), (1,))])
+def test_vectors_that_are_no_simple_system_are_rejected(roots):
+    """A zero vector, a non-integral Cartan entry and a repeated root."""
+    with pytest.raises(ClassificationError):
+        classify_simple_system(build_root_system(SimpleType("A", 1)), roots)
+
+
+@pytest.mark.parametrize("name", ["B5", "D6", "E7", "F4"])
+def test_components_take_least_standard_order(name):
+    """Each block of rank up to 6 is the least ordering of its roots, by brute
+    force over permutations, whose oracle Cartan matrix is the standard one;
+    in a D4 block the smallest fork tip comes first."""
+    st_ = SimpleType.parse(name)
+    amb = ambient_root_system(st_)
+    for sub in equal_rank_subsystems(build_root_system(st_)):
+        for ctype, block in zip(sub.component_types, sub.component_root_blocks()):
+            if ctype.rank > 6:
+                continue
+            standard = ambient_root_system(ctype).cartan_matrix
+            least = min(order for order in itertools.permutations(sorted(block))
+                        if _oracle_cartan(amb, order) == standard)
+            assert block == least, (sub, ctype)
+
+
+def _oracle_cartan(amb, roots):
+    vectors = [_ambient(amb, beta) for beta in roots]
+    return tuple(tuple(int(ambient_pairing(x, y)) for y in vectors) for x in vectors)
+
+
+TYPE_A_PINS = json.loads((Path(__file__).parent / "golden" / "type_a_equal_rank.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_A_PINS))
+def test_type_a_equal_rank_roots_pinned(name):
+    sub = type_a_equal_rank(build_root_system(SimpleType.parse(name)))
+    assert [str(t) for t in sub.component_types] == TYPE_A_PINS[name]["component_types"]
+    assert [list(r) for r in sub.selected_roots] == TYPE_A_PINS[name]["selected_roots"]
+
+
 def test_weyl_orbit_and_dominant_representative():
     rs = build_root_system(SimpleType.parse("A2"))
     orbit = weyl_orbit(rs, (1, 0))
@@ -231,16 +320,10 @@ def test_type_a_equal_rank_pick(name, expect):
 
 
 def test_diagram_automorphism_counts():
-    assert diagram_automorphisms(SimpleType.parse("A1")).group_order == 1
-    assert diagram_automorphisms(SimpleType.parse("A4")).group_order == 2
-    assert diagram_automorphisms(SimpleType.parse("B3")).group_order == 1
-    assert diagram_automorphisms(SimpleType.parse("D5")).group_order == 2
-    assert diagram_automorphisms(SimpleType.parse("E6")).group_order == 2
-    assert diagram_automorphisms(SimpleType.parse("E7")).group_order == 1
-    d4 = diagram_automorphisms(SimpleType.parse("D4"))
-    assert d4.group_order == 6
-    assert len(d4.involutions) == 4  # identity plus three tip swaps
-    assert len(d4.order3) == 2
+    counts = {"A1": 1, "A4": 2, "B3": 1, "D5": 2, "E6": 2, "E7": 1,
+              "D4": 4}  # identity plus three tip swaps
+    for name, count in counts.items():
+        assert len(diagram_automorphisms(SimpleType.parse(name)).involutions) == count
 
 
 def test_a3_flip_swaps_std_and_dual():
