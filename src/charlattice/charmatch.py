@@ -3,20 +3,20 @@
 A weight multiset induces a symmetric form on the dual of its span (sum of
 squares of weight evaluations); its dual form is the inner product the
 matching arguments use.  Any linear bijection carrying one weight multiset
-onto another is automatically an isometry for the two induced forms, so Gram
-data is a sound and complete pruning device for the matching search.
+onto another is an isometry for the two induced forms.  Conversely, each form
+is positive definite on its span, so equal Gram matrices mean equal linear
+relations, and a Gram-compatible bijection of distinct weights extends to a
+linear map: the iterative matching search stops at the first one.
 
-The search and the induced norms run in integers: a form M^-1 is carried as
-det(M) and adj(M) = det(M) M^-1, and Fractions are built only for values that
-leave the module (witness matrices, norm2, char_inner_product).
+The search, the induced norms and the witnesses run in integers: a form M^-1
+is carried as det(M) and adj(M) = det(M) M^-1, and Fractions are built only
+for values that leave the module (witness matrices, norm2, char_inner_product).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
 
 from . import linalg
 from .linalg import Mat
@@ -44,18 +44,35 @@ def _moment_matrix(weighted, dim: int) -> list[list[int]]:
     return m
 
 
+def _induced_form(fc: FormalCharacter) -> tuple[list[Coords], int, Mat]:
+    """Coordinates C of the distinct weights in a basis of their span, det(M)
+    and adj(M) for M = sum mult c c^T.
+
+    With p the pivot columns of the distinct-weight matrix and R the rows of
+    its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
+    entries at p are its coordinates c in the basis R.  For a faithful
+    character p is every column, and M is in fundamental coordinates.
+    """
+    distinct = fc.distinct()
+    pivots = linalg.pivot_columns(distinct)
+    coords = [tuple(w[p] for p in pivots) for w in distinct]
+    det, adj = linalg.det_adjugate(
+        _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots)))
+    return coords, det, adj
+
+
 def _form_adjugate(fc: FormalCharacter) -> tuple[int, Mat]:
-    """det(M) > 0 and adj(M) for the character's moment matrix M; needs a
-    faithful character."""
-    try:
-        return linalg.det_adjugate(_moment_matrix(fc.weights, fc.algebra.rank))
-    except ValueError:
+    """det(M) > 0 and adj(M) for the character's moment matrix M in
+    fundamental coordinates; needs a faithful character."""
+    _, det, adj = _induced_form(fc)
+    if len(adj) != fc.algebra.rank:
         trivial = [
             str(st) for st, block in zip(fc.algebra.factors, _factor_blocks(fc))
             if not any(any(c for c in piece) for piece in block)
         ]
         detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
         raise DegenerateFormError(f"character of {fc.algebra} is not faithful{detail}")
+    return det, adj
 
 
 def char_inner_product(fc: FormalCharacter) -> Mat:
@@ -81,32 +98,30 @@ def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
 
 @dataclass(frozen=True)
 class CharIsomorphism:
-    """A linear weight-space bijection carrying one character onto another."""
+    """A linear weight-space bijection carrying one character onto another,
+    held as the integer matrix scaled over the denominator den > 0."""
 
     source: FormalCharacter
     target: FormalCharacter
-    matrix: Mat
+    scaled: Mat
+    den: int
 
-    @cached_property
-    def _scaled(self) -> tuple[Mat, int]:
-        """(N, D) with matrix = N / D, D the least common denominator."""
-        den = lcm(*(c.denominator for row in self.matrix for c in row))
-        return tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                     for row in self.matrix), den
+    @property
+    def matrix(self) -> Mat:
+        """The map scaled / den, in Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.scaled)
 
     def apply(self, w: Coords) -> Coords:
-        scaled, den = self._scaled
         out = []
-        for x in linalg.matvec(scaled, w):
-            q, rem = divmod(x, den)
+        for x in linalg.matvec(self.scaled, w):
+            q, rem = divmod(x, self.den)
             if rem:
                 raise AssertionError("witness maps a lattice point off the lattice")
             out.append(q)
         return tuple(out)
 
     def validate(self) -> bool:
-        scaled, _ = self._scaled
-        if linalg.rank(scaled) != len(scaled):
+        if linalg.rank(self.scaled) != len(self.scaled):
             raise ValueError("singular matrix")
         mapped: dict[Coords, int] = {}
         for w, m in self.source.weights:
@@ -116,32 +131,24 @@ class CharIsomorphism:
 
 
 def _span_data(fc: FormalCharacter) -> tuple[int, int, Mat]:
-    """Rank of the weights' span, det(M) and the integer Gram matrix C adj(M) C^T.
-
-    With p the pivot columns of the distinct-weight matrix and R the rows of
-    its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
-    integer entries at p are its coordinates c in the span basis R.  Over
-    det(M), M = sum mult c c^T, it is the Gram matrix C M^-1 C^T, which does
-    not depend on that basis.
-    """
-    distinct = fc.distinct()
-    pivots = linalg.pivot_columns(distinct)
-    coords = [tuple(w[p] for p in pivots) for w in distinct]
-    det, adj = linalg.det_adjugate(
-        _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots)))
+    """Rank of the weights' span, det(M) and the integer Gram matrix C adj(M) C^T;
+    over det(M) it is C M^-1 C^T, which does not depend on the span basis."""
+    coords, det, adj = _induced_form(fc)
     left = linalg.matmul(coords, adj)
     # Rows of C adj(M) against rows of C; a rank-0 span gives an n x n zero matrix.
     gram = tuple(tuple(linalg.dot(x, c) for c in coords) for x in left)
-    return len(pivots), det, gram
+    return len(adj), det, gram
 
 
 def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     """Search for a linear bijection matching two weight multisets exactly.
 
-    Returns a CharIsomorphism witness or None.  Candidate pairings must agree
-    on multiplicity and on induced-form Gram data; the backtracking completes
-    each Gram-compatible bijection and keeps searching until one extends to a
-    linear map, so absence of a witness is a proof of failure.
+    Returns a CharIsomorphism witness or None.  Distinct weights are paired
+    by an iterative depth-first search on multiplicity and induced-form Gram
+    data.  Each induced form is positive definite on its span, so a
+    Gram-compatible bijection keeps every linear relation and extends to a
+    linear map: the search stops at the first one, and None proves that no
+    witness exists.
     """
     if fc1.size != fc2.size:
         return None
@@ -163,10 +170,9 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     gram2 = [[g * det1 for g in row] for row in gram2]
 
     n = len(d1)
-    prof1 = _row_profiles(gram1, m1)
-    prof2 = _row_profiles(gram2, m2)
-    if sorted(zip((g for g in _diag(gram1)), m1, prof1)) != \
-            sorted(zip((g for g in _diag(gram2)), m2, prof2)):
+    keys1 = _keys(gram1, m1)
+    keys2 = _keys(gram2, m2)
+    if sorted(keys1) != sorted(keys2):
         return None
 
     # Source weights in (norm, lex) order; target candidates share that order.
@@ -174,66 +180,60 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     order2 = sorted(range(n), key=lambda j: (gram2[j][j], d2[j]))
     targets: dict[tuple, list[int]] = {}
     for j in order2:
-        targets.setdefault((m2[j], gram2[j][j], prof2[j]), []).append(j)
-    candidates = {i: targets.get((m1[i], gram1[i][i], prof1[i]), []) for i in order1}
+        targets.setdefault(keys2[j], []).append(j)
+    candidates = [targets[keys1[i]] for i in order1]
 
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
+    placed: list[int] = []  # the targets of order1[0], order1[1], ...
 
-    def backtrack(pos: int):
-        if pos == n:
-            yield dict(assignment)
-            return
-        i = order1[pos]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            if any(gram1[i][k] != gram2[j][assignment[k]] for k in assignment):
-                continue
-            assignment[i] = j
-            used.add(j)
-            yield from backtrack(pos + 1)
-            del assignment[i]
-            used.discard(j)
+    def fits(p: int):
+        """Candidates for order1[p] with the sources' Gram entries against those placed."""
+        row1 = gram1[order1[p]]
+        for j in candidates[p]:
+            row2 = gram2[j]
+            if j not in placed and all(row1[i] == row2[k] for i, k in zip(order1, placed)):
+                yield j
 
-    for sigma in backtrack(0):
-        matrix = _linear_witness(d1, d2, sigma, rank)
-        if matrix is None:
+    pending = []  # per position up to the next one, the candidates not yet tried
+    while len(placed) < n:
+        if len(pending) == len(placed):
+            pending.append(fits(len(placed)))
+        j = next(pending[-1], None)
+        if j is not None:
+            placed.append(j)
             continue
-        witness = CharIsomorphism(source=fc1, target=fc2, matrix=matrix)
-        if witness.validate():
-            return witness
-    return None
-
-
-def _diag(gram):
-    return (gram[i][i] for i in range(len(gram)))
-
-
-def _row_profiles(gram, mults: list[int]):
-    n = len(gram)
-    return [tuple(sorted((gram[i][j], mults[j]) for j in range(n))) for i in range(n)]
-
-
-def _linear_witness(d1, d2, sigma: dict[int, int], rank: int):
-    """Extend a weight bijection to a full-rank matrix, or report None.
-
-    The map is T adj(B) / det(B) for the completed bases B and T as columns.
-    """
-    pairs = [(d1[i], d2[sigma[i]]) for i in sorted(sigma)]
-    picked = linalg.pivot_columns(linalg.transpose([src for src, _ in pairs]))
-    span_sources = [pairs[k][0] for k in picked]
-    span_targets = [pairs[k][1] for k in picked]
-    if linalg.rank(span_targets) != len(span_targets):
-        return None
-    full_src = linalg.extend_to_basis(span_sources, rank)
-    full_tgt = linalg.extend_to_basis(span_targets, rank)
-    det, adj = linalg.det_adjugate(linalg.transpose(full_src))
-    scaled = linalg.matmul(linalg.transpose(full_tgt), adj)
-    for src, tgt in pairs:
-        if linalg.matvec(scaled, src) != tuple(det * t for t in tgt):
+        pending.pop()
+        if not placed:
             return None
-    return tuple(tuple(Fraction(x, det) for x in row) for row in scaled)
+        placed.pop()
+
+    scaled, den = _linear_witness(d1, [d2[j] for _, j in sorted(zip(order1, placed))], rank)
+    witness = CharIsomorphism(source=fc1, target=fc2, scaled=scaled, den=den)
+    if not witness.validate():
+        raise AssertionError("a Gram-compatible bijection did not extend to a witness")
+    return witness
+
+
+def _keys(gram, mults: list[int]):
+    """Per weight: multiplicity, norm and the sorted (Gram entry, multiplicity) row."""
+    n = len(gram)
+    return [(mults[i], gram[i][i], tuple(sorted((gram[i][j], mults[j]) for j in range(n))))
+            for i in range(n)]
+
+
+def _linear_witness(sources, targets, rank: int) -> tuple[Mat, int]:
+    """(N, den > 0) with N / den carrying each source to its target, which a
+    Gram-compatible bijection guarantees: T adj(B) / det(B) for the columns B
+    of the first independent sources and T of their targets, each completed
+    with unit vectors."""
+    picked = linalg.pivot_columns(linalg.transpose(sources))
+    full_src = linalg.extend_to_basis([sources[k] for k in picked], rank)
+    full_tgt = linalg.extend_to_basis([targets[k] for k in picked], rank)
+    det, adj = linalg.det_adjugate(linalg.transpose(full_src))
+    if det < 0:
+        det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
+    return linalg.matmul(linalg.transpose(full_tgt), adj), det
+
+
 
 
 # ---------------------------------------------------------------------------

@@ -497,16 +497,9 @@ class LatticeInvolution:
                          for i in range(rank)))
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphisms:
-    """The diagram automorphisms of one simple type that square to the identity."""
-
-    stype: SimpleType
-    involutions: tuple[LatticeInvolution, ...]
-
-
-def diagram_automorphisms(stype: SimpleType) -> DiagramAutomorphisms:
-    """Diagram involutions as maps on fundamental coordinates.
+def diagram_automorphisms(stype: SimpleType) -> tuple[LatticeInvolution, ...]:
+    """The diagram automorphisms of stype that square to the identity, as
+    maps on fundamental coordinates.
 
     The returned involutions include the identity; for D4 they are the three
     swaps of two fork tips, and the two rotations of the fork are left out
@@ -525,4 +518,4 @@ def diagram_automorphisms(stype: SimpleType) -> DiagramAutomorphisms:
         invs.append(LatticeInvolution.from_node_permutation({n - 2: n - 1, n - 1: n - 2}, n))
     elif stype == SimpleType("E", 6):
         invs.append(LatticeInvolution.from_node_permutation({0: 5, 5: 0, 2: 4, 4: 2}, n))
-    return DiagramAutomorphisms(stype=stype, involutions=tuple(invs))
+    return tuple(invs)

@@ -201,7 +201,7 @@ def case_sl2k_nonselfdual_dims() -> CaseReport:
 # Exceptional and orthogonal cases.
 
 def _nontrivial_involution(stype: SimpleType) -> LatticeInvolution:
-    for inv in diagram_automorphisms(stype).involutions:
+    for inv in diagram_automorphisms(stype):
         if inv.order == 2:
             return inv
     raise CaseError(f"{stype} has no nontrivial diagram involution")
@@ -372,7 +372,7 @@ def case_so2m_conj_zero(m: int = 4) -> CaseReport:
              "Weyl dimension formula")
     swap = LatticeInvolution.from_node_permutation({m - 2: m - 1, m - 1: m - 2}, m)
     st.hold("the coordinate swap is a diagram automorphism",
-            swap in diagram_automorphisms(SimpleType("D", m)).involutions,
+            swap in diagram_automorphisms(SimpleType("D", m)),
             "fork symmetry of the even orthogonal diagram")
     record = conjugation_sums(fc, swap)
     st.check("zero appears among the sums with multiplicity exactly 2",

@@ -5,11 +5,14 @@ subset weight explicitly and pairs them with the literal ambient form, sharing
 nothing with the closed-form path; the closed-form norm is also checked on
 every weight of each alternating power, under the Gram matrix of the ambient
 fundamental weights from tests/ambient_oracle.py.  Witness matrices of the
-matching search are pinned in tests/golden/samechar_witnesses.json.
+matching search are pinned in tests/golden/samechar_witnesses.json, and its
+answer is checked against a brute force over every bijection of distinct
+weights, with its own Fraction elimination.
 """
 
 import itertools
 import json
+import sys
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambient_oracle import ambient_root_system, gram
-from charlattice import linalg
+from charlattice import charmatch, linalg
 from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
                                    NonCompatibleInvolutionError,
                                    alt_power_stats, char_inner_product,
@@ -30,6 +33,7 @@ from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, negate_character,
                               trivial_character)
 from charlattice.rootsys import LatticeInvolution, SimpleType
+from test_linalg import reference_rref
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,10 +183,40 @@ def test_search_and_norms_stay_in_integers(monkeypatch):
         assert type(value) is int
         return value
 
+    def no_fraction(*args):
+        raise AssertionError("Fraction built inside the search")
+
     monkeypatch.setattr(linalg, "dot", int_dot)
+    assert len(max_norm_weights(char("A3", (2, 0, 0))).weights) == 4
+    # the search, the witness and its check build no Fraction at all
+    monkeypatch.setattr(charmatch, "Fraction", no_fraction)
     witness = same_formal_character(e7, negate_character(e7))
     assert witness is not None and witness.validate()
-    assert len(max_norm_weights(char("A3", (2, 0, 0))).weights) == 4
+    assert type(witness.den) is int and witness.den > 0
+    assert all(type(x) is int for row in witness.scaled for x in row)
+    monkeypatch.undo()
+    want = json.loads((GOLDEN / "samechar_witnesses.json").read_text(encoding="utf-8"))
+    assert [[str(c) for c in row] for row in witness.matrix] == want["E7 w7 vs its negation"]
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_match_keeps_its_own_stack():
+    # 301 distinct weights: a search that recursed once per weight would overflow
+    fc = char("A1", (300,))
+    dual = negate_character(fc)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        witness = same_formal_character(fc, dual)
+        assert witness is not None and witness.validate()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_match_across_factor_order():
@@ -251,6 +285,76 @@ def test_match_survives_unimodular_shear(a, b):
     witness = same_formal_character(fc, sheared)
     assert witness is not None
     assert witness.validate()
+
+
+def _oracle_rank(rows) -> int:
+    return len(reference_rref(rows)[1])
+
+
+def brute_force_match(fc1: FormalCharacter, fc2: FormalCharacter) -> bool:
+    """Whether some multiplicity-preserving bijection of the distinct weights
+    is the restriction of an invertible linear map, over every bijection."""
+    if len(fc1.weights) != len(fc2.weights):
+        return False
+    sources = fc1.distinct()
+    span = _oracle_rank(sources)
+    for image in itertools.permutations(fc2.weights):
+        if any(m != n for (_, m), (_, n) in zip(fc1.weights, image)):
+            continue
+        targets = [w for w, _ in image]
+        # a linear map carries each source to its target exactly when the
+        # targets add no rank to the sources, and it is injective on their
+        # span exactly when the targets have the same rank
+        if (_oracle_rank(targets) == span
+                and _oracle_rank([s + t for s, t in zip(sources, targets)]) == span):
+            return True
+    return False
+
+
+@st.composite
+def character_pairs(draw):
+    """Small weight multisets: the second is random, or the image of the
+    first under a random unimodular map, possibly perturbed at one weight."""
+    rank = draw(st.integers(1, 3))
+    alg = SemisimpleAlgebra.parse(f"A{rank}")
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    size = draw(st.integers(1, min(6, 5 ** rank)))
+    multisets = st.dictionaries(weight, st.integers(1, 2), min_size=size, max_size=size)
+    first = draw(multisets)
+    kind = draw(st.sampled_from(["random", "planted", "perturbed"]))
+    if kind == "random":
+        return FormalCharacter.from_counts(alg, first), \
+            FormalCharacter.from_counts(alg, draw(multisets))
+    shears = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                                      st.integers(-2, 2)), max_size=3))
+    perm = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+
+    def unimodular(w):
+        w = list(w)
+        for i, j, c in shears:
+            if i != j:
+                w[i] += c * w[j]
+        return tuple(s * w[k] for s, k in zip(signs, perm))
+
+    second = {unimodular(w): m for w, m in first.items()}
+    if kind == "perturbed":
+        w = draw(st.sampled_from(sorted(second)))
+        m = second.pop(w)
+        k = draw(st.integers(0, rank - 1))
+        moved = w[:k] + (w[k] + draw(st.sampled_from([1, -1])),) + w[k + 1:]
+        second[moved] = second.get(moved, 0) + m + draw(st.integers(0, 1))
+    return FormalCharacter.from_counts(alg, first), FormalCharacter.from_counts(alg, second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(character_pairs())
+def test_match_agrees_with_brute_force_bijections(pair):
+    fc1, fc2 = pair
+    witness = same_formal_character(fc1, fc2)
+    assert (witness is not None) == brute_force_match(fc1, fc2)
+    if witness is not None:
+        assert witness.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -323,19 +323,19 @@ def test_diagram_automorphism_counts():
     counts = {"A1": 1, "A4": 2, "B3": 1, "D5": 2, "E6": 2, "E7": 1,
               "D4": 4}  # identity plus three tip swaps
     for name, count in counts.items():
-        assert len(diagram_automorphisms(SimpleType.parse(name)).involutions) == count
+        assert len(diagram_automorphisms(SimpleType.parse(name))) == count
 
 
 def test_a3_flip_swaps_std_and_dual():
     auts = diagram_automorphisms(SimpleType.parse("A3"))
-    flip = next(inv for inv in auts.involutions if inv.order == 2)
+    flip = next(inv for inv in auts if inv.order == 2)
     assert flip.apply((1, 0, 0)) == (0, 0, 1)
     assert flip.apply((0, 1, 0)) == (0, 1, 0)
 
 
 def test_e6_flip_swaps_minuscule_pair():
     auts = diagram_automorphisms(SimpleType.parse("E6"))
-    flip = next(inv for inv in auts.involutions if inv.order == 2)
+    flip = next(inv for inv in auts if inv.order == 2)
     assert flip.apply((1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
     assert flip.apply((0, 0, 1, 0, 0, 0)) == (0, 0, 0, 0, 1, 0)
     assert flip.apply((0, 1, 0, 0, 0, 0)) == (0, 1, 0, 0, 0, 0)
