@@ -9,14 +9,19 @@ relations, and a Gram-compatible bijection of distinct weights extends to a
 linear map: the iterative matching search stops at the first one.
 
 The search, the induced norms and the witnesses run in integers: a form M^-1
-is carried as det(M) and adj(M) = det(M) M^-1, and Fractions are built only
-for values that leave the module (witness matrices, norm2, char_inner_product).
+is carried as det(M) and adj(M) = det(M) M^-1, a Gram matrix as integers over
+its least common denominator, and Fractions are built only for values that
+leave the module (witness matrices, norm2, char_inner_product).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
+from operator import neg
 
 from . import linalg
 from .linalg import Mat
@@ -44,27 +49,30 @@ def _moment_matrix(weighted, dim: int) -> list[list[int]]:
     return m
 
 
-def _induced_form(fc: FormalCharacter) -> tuple[list[Coords], int, Mat]:
-    """Coordinates C of the distinct weights in a basis of their span, det(M)
-    and adj(M) for M = sum mult c c^T.
+def _induced_form(weights, rank: int) -> tuple[list[Coords], int, Mat]:
+    """Coordinates C of the distinct weights (the (weight, mult) pairs of a
+    character of the given rank) in a basis of their span, det(M) and adj(M)
+    for M = sum mult c c^T.
 
     With p the pivot columns of the distinct-weight matrix and R the rows of
     its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
-    entries at p are its coordinates c in the basis R.  For a faithful
-    character p is every column, and M is in fundamental coordinates.
+    entries at p are its coordinates c in the basis R.  The rank x rank
+    moment matrix sum mult w w^T has the kernel of the weight matrix, so its
+    columns depend on each other as the weights' columns do: p is read off
+    it, and M is its block on p.  For a faithful character p is every
+    column, and M is in fundamental coordinates.
     """
-    distinct = fc.distinct()
-    pivots = linalg.pivot_columns(distinct)
-    coords = [tuple(w[p] for p in pivots) for w in distinct]
-    det, adj = linalg.det_adjugate(
-        _moment_matrix(zip(coords, (m for _, m in fc.weights)), len(pivots)))
+    full = _moment_matrix(weights, rank)
+    pivots = linalg.pivot_columns(full)
+    coords = [tuple(w[p] for p in pivots) for w, _ in weights]
+    det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
     return coords, det, adj
 
 
 def _form_adjugate(fc: FormalCharacter) -> tuple[int, Mat]:
     """det(M) > 0 and adj(M) for the character's moment matrix M in
     fundamental coordinates; needs a faithful character."""
-    _, det, adj = _induced_form(fc)
+    _, det, adj = _induced_form(fc.weights, fc.algebra.rank)
     if len(adj) != fc.algebra.rank:
         trivial = [
             str(st) for st, block in zip(fc.algebra.factors, _factor_blocks(fc))
@@ -130,58 +138,121 @@ class CharIsomorphism:
         return mapped == self.target.counts()
 
 
-def _span_data(fc: FormalCharacter) -> tuple[int, int, Mat]:
-    """Rank of the weights' span, det(M) and the integer Gram matrix C adj(M) C^T;
-    over det(M) it is C M^-1 C^T, which does not depend on the span basis."""
-    coords, det, adj = _induced_form(fc)
-    left = linalg.matmul(coords, adj)
-    # Rows of C adj(M) against rows of C; a rank-0 span gives an n x n zero matrix.
-    gram = tuple(tuple(linalg.dot(x, c) for c in coords) for x in left)
-    return len(adj), det, gram
+def _invariants(weights) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The zero weight's multiplicity and the sorted (m(w), m(-w)) over the
+    nonzero distinct weights w.  A linear bijection fixes 0 and commutes with
+    negation, so two characters it matches have the same invariants."""
+    counts = dict(weights)
+    zero = 0
+    pairs = []
+    for w, m in weights:
+        if any(w):
+            pairs.append((m, counts.get(tuple(map(neg, w)), 0)))
+        else:
+            zero = m
+    return zero, tuple(sorted(pairs))
+
+
+class _MatchData:
+    """What the matching search reads of one character, computed once: the
+    distinct weights, their multiplicities and the invariants, and on first
+    use the span data and the witness basis.  It keeps the weights, not the
+    character, so its entry in the weak-keyed memo, Gram matrix included,
+    goes with the character."""
+
+    def __init__(self, fc: FormalCharacter) -> None:
+        self.weights = fc.weights
+        self.rank = fc.algebra.rank
+        self.distinct = fc.distinct()
+        self.mults = [m for _, m in fc.weights]
+        self.invariants = _invariants(fc.weights)
+
+    @cached_property
+    def span_data(self) -> tuple[int, int, Mat]:
+        """Rank of the weights' span, and the Gram matrix C M^-1 C^T, which
+        does not depend on the span basis, in lowest terms: a least common
+        denominator den > 0 and the integers den C M^-1 C^T.  So two
+        characters' Gram entries are equal rationals exactly when their dens
+        and integers are equal."""
+        coords, det, adj = _induced_form(self.weights, self.rank)
+        left = linalg.matmul(coords, adj)
+        # Rows of C adj(M) against rows of C; a rank-0 span gives an n x n zero matrix.
+        gram = [[linalg.dot(x, c) for c in coords] for x in left]
+        g = det
+        for row in gram:
+            g = gcd(g, *row)
+        return len(adj), det // g, tuple(tuple(x // g for x in row) for row in gram)
+
+    @cached_property
+    def keys(self) -> list[tuple]:
+        """Per weight: multiplicity, norm and the sorted (Gram entry,
+        multiplicity) row."""
+        gram, mults = self.span_data[2], self.mults
+        return [(m, row[i], tuple(sorted(zip(row, mults))))
+                for i, (row, m) in enumerate(zip(gram, mults))]
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The distinct weights' indices in (norm, weight) order."""
+        gram, distinct = self.span_data[2], self.distinct
+        return sorted(range(len(distinct)), key=lambda i: (gram[i][i], distinct[i]))
+
+    @cached_property
+    def basis(self) -> tuple[list[int], int, Mat]:
+        """The indices of the first independent distinct weights, and det(B) > 0
+        and adj(B) for the columns B of those weights, completed with unit
+        vectors to a basis."""
+        picked = linalg.pivot_columns(linalg.transpose(self.distinct))
+        full = linalg.extend_to_basis([self.distinct[k] for k in picked], self.rank)
+        det, adj = linalg.det_adjugate(linalg.transpose(full))
+        if det < 0:
+            det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
+        return picked, det, adj
+
+
+# Weak keys: an entry, Gram matrix included, goes with its character.
+_MATCH_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _match_data(fc: FormalCharacter) -> _MatchData:
+    data = _MATCH_DATA.get(fc)
+    if data is None:
+        data = _MATCH_DATA[fc] = _MatchData(fc)
+    return data
 
 
 def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     """Search for a linear bijection matching two weight multisets exactly.
 
-    Returns a CharIsomorphism witness or None.  Distinct weights are paired
-    by an iterative depth-first search on multiplicity and induced-form Gram
-    data.  Each induced form is positive definite on its span, so a
-    Gram-compatible bijection keeps every linear relation and extends to a
-    linear map: the search stops at the first one, and None proves that no
-    witness exists.
+    Returns a CharIsomorphism witness or None.  Characters that differ in
+    size, rank, number of distinct weights, zero-weight multiplicity or the
+    (m(w), m(-w)) pair list are rejected before any Gram data is built; each
+    character's match data is computed once and kept while it lives.
+    Distinct weights are paired by an iterative depth-first search on
+    multiplicity and induced-form Gram data.  Each induced form is positive
+    definite on its span, so a Gram-compatible bijection keeps every linear
+    relation and extends to a linear map: the search stops at the first one,
+    and None proves that no witness exists.
     """
     if fc1.size != fc2.size:
         return None
-    rank = fc1.algebra.rank
-    if rank != fc2.algebra.rank:
+    if fc1.algebra.rank != fc2.algebra.rank:
         return None
-    d1, d2 = fc1.distinct(), fc2.distinct()
-    if len(d1) != len(d2):
+    data1, data2 = _match_data(fc1), _match_data(fc2)
+    d1, d2 = data1.distinct, data2.distinct
+    if len(d1) != len(d2) or data1.invariants != data2.invariants:
         return None
-    m1 = [m for _, m in fc1.weights]
-    m2 = [m for _, m in fc2.weights]
-    span1, det1, gram1 = _span_data(fc1)
-    span2, det2, gram2 = _span_data(fc2)
-    if span1 != span2:
-        return None
-    # Both Gram matrices over the common denominator det1 * det2 > 0, so the
-    # integers compare and sort exactly as the rational Gram entries do.
-    gram1 = [[g * det2 for g in row] for row in gram1]
-    gram2 = [[g * det1 for g in row] for row in gram2]
-
-    n = len(d1)
-    keys1 = _keys(gram1, m1)
-    keys2 = _keys(gram2, m2)
-    if sorted(keys1) != sorted(keys2):
+    span1, den1, gram1 = data1.span_data
+    span2, den2, gram2 = data2.span_data
+    if span1 != span2 or den1 != den2 or sorted(data1.keys) != sorted(data2.keys):
         return None
 
     # Source weights in (norm, lex) order; target candidates share that order.
-    order1 = sorted(range(n), key=lambda i: (gram1[i][i], d1[i]))
-    order2 = sorted(range(n), key=lambda j: (gram2[j][j], d2[j]))
+    order1 = data1.order
     targets: dict[tuple, list[int]] = {}
-    for j in order2:
-        targets.setdefault(keys2[j], []).append(j)
-    candidates = [targets[keys1[i]] for i in order1]
+    for j in data2.order:
+        targets.setdefault(data2.keys[j], []).append(j)
+    candidates = [targets[data1.keys[i]] for i in order1]
 
     placed: list[int] = []  # the targets of order1[0], order1[1], ...
 
@@ -194,7 +265,7 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
                 yield j
 
     pending = []  # per position up to the next one, the candidates not yet tried
-    while len(placed) < n:
+    while len(placed) < len(d1):
         if len(pending) == len(placed):
             pending.append(fits(len(placed)))
         j = next(pending[-1], None)
@@ -206,31 +277,20 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
             return None
         placed.pop()
 
-    scaled, den = _linear_witness(d1, [d2[j] for _, j in sorted(zip(order1, placed))], rank)
+    scaled, den = _linear_witness(data1, [d2[j] for _, j in sorted(zip(order1, placed))])
     witness = CharIsomorphism(source=fc1, target=fc2, scaled=scaled, den=den)
     if not witness.validate():
         raise AssertionError("a Gram-compatible bijection did not extend to a witness")
     return witness
 
 
-def _keys(gram, mults: list[int]):
-    """Per weight: multiplicity, norm and the sorted (Gram entry, multiplicity) row."""
-    n = len(gram)
-    return [(mults[i], gram[i][i], tuple(sorted((gram[i][j], mults[j]) for j in range(n))))
-            for i in range(n)]
-
-
-def _linear_witness(sources, targets, rank: int) -> tuple[Mat, int]:
-    """(N, den > 0) with N / den carrying each source to its target, which a
-    Gram-compatible bijection guarantees: T adj(B) / det(B) for the columns B
-    of the first independent sources and T of their targets, each completed
-    with unit vectors."""
-    picked = linalg.pivot_columns(linalg.transpose(sources))
-    full_src = linalg.extend_to_basis([sources[k] for k in picked], rank)
-    full_tgt = linalg.extend_to_basis([targets[k] for k in picked], rank)
-    det, adj = linalg.det_adjugate(linalg.transpose(full_src))
-    if det < 0:
-        det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
+def _linear_witness(source: _MatchData, targets) -> tuple[Mat, int]:
+    """(N, den > 0) with N / den carrying each distinct source weight to its
+    target, which a Gram-compatible bijection guarantees: T adj(B) / det(B)
+    for the source basis B and the targets T of its weights, completed with
+    the same unit vectors."""
+    picked, det, adj = source.basis
+    full_tgt = linalg.extend_to_basis([targets[k] for k in picked], source.rank)
     return linalg.matmul(linalg.transpose(full_tgt), adj), det
 
 

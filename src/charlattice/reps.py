@@ -101,8 +101,9 @@ class FormalCharacter:
     weights: tuple[tuple[Coords, int], ...]
 
     def __post_init__(self) -> None:
+        rank = self.algebra.rank
         for w, m in self.weights:
-            if len(w) != self.algebra.rank:
+            if len(w) != rank:
                 raise AlgebraMismatchError(f"weight {w} does not fit {self.algebra}")
             if m <= 0:
                 raise ValueError("multiplicities must be positive")
@@ -374,7 +375,10 @@ def multiplicity_free_catalog(stype: SimpleType, max_dim: int | None = None) -> 
 # Exhaustive irreducible enumeration under a dimension cap.
 
 
-def _enumerate_simple(stype: SimpleType, dmax: int) -> list[tuple[Coords, int]]:
+@lru_cache(maxsize=None)
+def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int], ...]:
+    """Highest weights and dimensions of the irreducibles of one simple type
+    of dimension at most dmax, sorted by (dimension, weight)."""
     rs = build_root_system(stype)
     rank = rs.rank
     out: list[tuple[Coords, int]] = []
@@ -396,7 +400,7 @@ def _enumerate_simple(stype: SimpleType, dmax: int) -> list[tuple[Coords, int]]:
             value += 1
 
     extend([], 1)
-    return sorted(out, key=lambda t: (t[1], t[0]))
+    return tuple(sorted(out, key=lambda t: (t[1], t[0])))
 
 
 def enumerate_irreps_up_to_dim(alg: SemisimpleAlgebra, dmax: int) -> tuple[tuple[HighestWeight, int], ...]:

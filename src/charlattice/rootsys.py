@@ -67,7 +67,7 @@ class SimpleType:
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not text[1:].isdecimal():
             raise CartanTypeError(f"cannot parse simple type {text!r}")
         return cls(text[0].upper(), int(text[1:]))
 

@@ -113,4 +113,8 @@ class CharacterFile:
 
 def read_character_file(path: str) -> CharacterFile:
     with open(path, encoding="utf-8") as fh:
-        return CharacterFile.parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CharFileError(f"{path}: not UTF-8 text") from exc
+    return CharacterFile.parse(text)

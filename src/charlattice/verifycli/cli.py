@@ -37,8 +37,11 @@ def _parse_hw(alg: SemisimpleAlgebra, text: str) -> tuple[int, ...]:
     simple algebra, else comma (and semicolon) separated integers."""
     text = text.strip()
     lowered = text.lower().replace("ω", "w").replace("omega", "w")
-    if lowered.startswith("w") and lowered[1:].isdigit():
-        idx = int(lowered[1:])
+    if lowered.startswith("w") and lowered[1:].isdecimal():
+        try:
+            idx = int(lowered[1:])
+        except ValueError as exc:  # more digits than int() converts
+            raise UsageError(f"cannot parse weight {text!r}") from exc
         if len(alg.factors) != 1:
             raise UsageError("fundamental-weight shorthand needs a simple algebra")
         rank = alg.rank
@@ -117,15 +120,19 @@ def _read_multiset(path: str, torsion: int) -> GroupMultiset:
 
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for idx, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            try:
-                nums = [int(tok) for tok in stripped.split()]
-            except ValueError as exc:
-                raise UsageError(f"{path}:{idx}: non-integer entry") from exc
-            rows.append(nums)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text") from exc
+    for idx, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        try:
+            nums = [int(tok) for tok in stripped.split()]
+        except ValueError as exc:
+            raise UsageError(f"{path}:{idx}: non-integer entry") from exc
+        rows.append(nums)
     if not rows:
         raise UsageError(f"{path}: no elements")
     widths = {len(r) for r in rows}
@@ -233,8 +240,10 @@ def _cmd_verify(args) -> int:
     for item in args.param or []:
         if "=" not in item:
             raise UsageError(f"parameters look like key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise UsageError(f"parameter {key} given twice")
+        params[key] = value
     report = case_mod.run_case(args.case, params, seed=args.seed)
     _emit(report.to_dict(), args.format, _render_report(report))
     return EXIT_OK if report.verdict else EXIT_FAIL

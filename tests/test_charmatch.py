@@ -10,9 +10,11 @@ answer is checked against a brute force over every bijection of distinct
 weights, with its own Fraction elimination.
 """
 
+import gc
 import itertools
 import json
 import sys
+import weakref
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
                                    NonCompatibleInvolutionError,
                                    alt_power_stats, char_inner_product,
                                    conjugation_sums, fixed_point_exists,
-                                   _span_data, max_norm_weights,
+                                   max_norm_weights,
                                    same_formal_character)
 from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
@@ -172,8 +174,8 @@ def test_match_witnesses_golden():
 
 def test_search_and_norms_stay_in_integers(monkeypatch):
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
-    rank, det, span_gram = _span_data(e7)
-    assert rank == 7 and type(det) is int and det > 0
+    rank, den, span_gram = charmatch._match_data(e7).span_data
+    assert rank == 7 and type(den) is int and den > 0
     assert all(type(g) is int for row in span_gram for g in row)
     # every dot product of the search, the witness check and the norms is an int
     plain_dot = linalg.dot
@@ -355,6 +357,68 @@ def test_match_agrees_with_brute_force_bijections(pair):
     assert (witness is not None) == brute_force_match(fc1, fc2)
     if witness is not None:
         assert witness.validate()
+
+
+# ---------------------------------------------------------------------------
+# The invariants checked before any Gram data, and the match-data memo.
+
+@st.composite
+def characters_and_unimodular_maps(draw):
+    """A small weight multiset, often with the zero weight and with some
+    weights next to their negatives, and a random unimodular matrix: a
+    product of shears, a permutation and signs."""
+    rank = draw(st.integers(1, 4))
+    weight = st.tuples(*[st.integers(-3, 3)] * rank)
+    counts = draw(st.dictionaries(weight, st.integers(1, 3), min_size=1, max_size=8))
+    for w in draw(st.lists(st.sampled_from(sorted(counts)), max_size=4)):
+        counts[tuple(-c for c in w)] = draw(st.integers(1, 3))
+    u = [list(row) for row in linalg.identity(rank)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                                           st.integers(-3, 3)), max_size=6)):
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    perm = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    u = tuple(tuple(s * x for x in u[k]) for s, k in zip(signs, perm))
+    assert abs(reference_det(u)) == 1
+    return FormalCharacter.from_counts(SemisimpleAlgebra.parse(f"A{rank}"), counts), u
+
+
+def reference_det(m) -> int:
+    """Determinant by permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(characters_and_unimodular_maps())
+def test_invariants_survive_unimodular_maps(pair):
+    fc, u = pair
+    image = FormalCharacter.from_counts(fc.algebra, {matvec(u, w): m for w, m in fc.weights})
+    assert charmatch._invariants(image.weights) == charmatch._invariants(fc.weights)
+    witness = same_formal_character(fc, image)
+    assert witness is not None and witness.validate()
+
+
+def test_match_data_goes_with_its_character():
+    alg = SemisimpleAlgebra.parse("A3")
+    fc = FormalCharacter.from_counts(alg, {(7, -5, 3): 2, (-7, 5, -3): 2, (0, 0, 0): 1, (1, 9, 1): 1})
+    dual = negate_character(fc)
+    assert same_formal_character(fc, dual) is not None
+    assert fc in charmatch._MATCH_DATA and dual in charmatch._MATCH_DATA
+    held = len(charmatch._MATCH_DATA)
+    gone = weakref.ref(fc)
+    del fc, dual
+    gc.collect()
+    assert gone() is None
+    assert len(charmatch._MATCH_DATA) == held - 2
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,15 @@ def test_verify_rejects_bad_param(capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_parameter_given_twice(capsys):
+    code, out, err = run(capsys, "verify", "so-selfdual", "-p", "m=9", "-p", "m=3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: parameter m given twice\n"
+    code, _, err = run(capsys, "verify", "so-selfdual", "-p", "m=5", "-p", " m = 5")
+    assert code == 2 and "parameter m given twice" in err
+
+
 def test_verify_param_type_errors(capsys):
     code, _, err = run(capsys, "verify", "sl2k-selfdual", "-p", "k=x")
     assert code == 2

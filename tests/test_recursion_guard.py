@@ -17,7 +17,7 @@ ALLOWED = {
     "reps._enumerate_simple.extend",  # one level per fundamental weight, at most the rank
     "reps.enumerate_irreps_up_to_dim.build",  # one level per simple factor
     "cases._partitions.rec",  # one level per part of a partition of m // 2, m <= 9 (so-selfdual)
-    "cases._faithful_sums.rec",  # one level per irreducible of dimension <= m <= 9 (so-selfdual)
+    "cases._faithful_sums.rec",  # one level per distinct summand, at most m <= 9 (so-selfdual)
     "cases.fmt",  # one level per nesting of a reported value
 }
 
