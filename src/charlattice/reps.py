@@ -21,6 +21,7 @@ from .rootsys import (
     dominant_representative,
     pairing,
     root_weight,
+    weyl_orbit,
 )
 
 DEFAULT_DIMENSION_BOUND = 100_000
@@ -187,77 +188,59 @@ def weyl_dimension(alg: SemisimpleAlgebra, hw: HighestWeight) -> int:
 def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords, int], ...]:
     """Weight multiset of one simple factor by Freudenthal's recursion.
 
-    The saturated weight set is generated from the highest weight by walking
-    root strings downward; multiplicities are computed on dominant weights
-    only and copied across each Weyl orbit.  Both sides of the recursion are
-    cleared to integers with rootsys.pairing: for a weight v and a root
-    beta = sum c_k alpha_k, 2(v, beta) = sum_k v_k c_k l_k, and with
-    lam - mu = sum d_k alpha_k the denominator 2((lam+rho)^2 - (mu+rho)^2)
-    is 2(lam + mu + 2 rho, lam - mu).  Each multiplicity then takes one
-    exact integer division.
+    The dominant weights are found by a search down from the highest weight
+    that subtracts one positive root at a time and keeps only what stays
+    dominant; this reaches every dominant weight below lam, since dominant
+    weights comparable in the dominance order are joined by such steps
+    (Stembridge, Adv. Math. 136 (1998)).  The Weyl orbits of the dominant
+    weights then map every weight to its dominant conjugate: that map is the
+    weight set, and multiplicities, computed on dominant weights only, are
+    read through it.  Both sides of the recursion are cleared to integers
+    with rootsys.pairing: for a weight v and a root beta = sum c_k alpha_k,
+    2(v, beta) = sum_k v_k c_k l_k, and with lam - mu = sum d_k alpha_k the
+    denominator 2((lam+rho)^2 - (mu+rho)^2) is 2(lam + mu + 2 rho, lam - mu).
+    Each multiplicity then takes one exact integer division.
     """
     rs = build_root_system(stype)
     rank = rs.rank
-    cartan = rs.cartan_matrix
     lengths = rs.root_lengths
+    roots = [(root_weight(rs, beta), beta, tuple(c * l for c, l in zip(beta, lengths)))
+             for beta in rs.positive_roots]
 
-    # below[v]: lam - v in simple-root coordinates
-    below: dict[Coords, Coords] = {hw: (0,) * rank}
+    # depth[mu]: lam - mu in simple-root coordinates, for dominant mu
+    depth: dict[Coords, Coords] = {hw: (0,) * rank}
     frontier = [hw]
     while frontier:
         nxt = []
-        for v in frontier:
-            for i in range(rank):
-                m = v[i]
-                if m <= 0:
-                    continue
-                row = cartan[i]
-                cur = v
-                for k in range(1, m + 1):
-                    cur = tuple(cur[j] - row[j] for j in range(rank))
-                    if cur not in below:
-                        d = below[v]
-                        below[cur] = d[:i] + (d[i] + k,) + d[i + 1:]
-                        nxt.append(cur)
+        for mu in frontier:
+            for beta_w, beta, _ in roots:
+                nu = tuple(a - b for a, b in zip(mu, beta_w))
+                if min(nu) >= 0 and nu not in depth:
+                    depth[nu] = tuple(a + b for a, b in zip(depth[mu], beta))
+                    nxt.append(nu)
         frontier = nxt
 
-    roots = [
-        (root_weight(rs, beta), tuple(c * l for c, l in zip(beta, lengths)))
-        for beta in rs.positive_roots
-    ]
+    dom = {v: mu for mu in depth for v in weyl_orbit(rs, mu)}
 
-    dominant = sorted((v for v in below if all(c >= 0 for c in v)),
-                      key=lambda v: sum(below[v]))
     mult: dict[Coords, int] = {}
-    dom_cache: dict[Coords, Coords] = {}
-
-    def dom(v: Coords) -> Coords:
-        if v not in dom_cache:
-            dom_cache[v] = dominant_representative(rs, v)
-        return dom_cache[v]
-
-    for mu in dominant:
-        d = below[mu]
+    for mu in sorted(depth, key=lambda v: sum(depth[v])):
+        d = depth[mu]
         if not any(d):
             mult[mu] = 1
             continue
         acc = 0
-        for beta, u in roots:
-            k = 1
-            while True:
-                v = tuple(mu[j] + k * beta[j] for j in range(rank))
-                if v not in below:
-                    break
-                acc += mult[dom(v)] * sum(a * b for a, b in zip(v, u))
-                k += 1
+        for beta_w, _, u in roots:
+            v = tuple(a + b for a, b in zip(mu, beta_w))
+            while v in dom:
+                acc += mult[dom[v]] * sum(a * b for a, b in zip(v, u))
+                v = tuple(a + b for a, b in zip(v, beta_w))
         denom = pairing(rs, tuple(a + b + 2 for a, b in zip(hw, mu)), d)
         m, rem = divmod(2 * acc, denom)
         if rem or m <= 0:
             raise AssertionError(f"Freudenthal gave {2 * acc}/{denom} at {mu} in {stype} {hw}")
         mult[mu] = m
 
-    full = {v: mult[dom(v)] for v in below}
-    return tuple(sorted(full.items()))
+    return tuple(sorted((v, mult[mu]) for v, mu in dom.items()))
 
 
 def weight_multiset(

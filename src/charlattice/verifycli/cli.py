@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -289,12 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized cases")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # argparse reads what its negative-number matcher accepts as a positional
+    negative_weight = re.compile(r"-\d")
+
     p = sub.add_parser("dim", help="dimension of an irreducible")
+    p._negative_number_matcher = negative_weight
     p.add_argument("algebra")
     p.add_argument("weight")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("weights", help="weight multiset of an irreducible")
+    p._negative_number_matcher = negative_weight
     p.add_argument("algebra")
     p.add_argument("weight")
     p.add_argument("--bound", type=int, default=100_000,

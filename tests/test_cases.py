@@ -4,16 +4,19 @@ search's invariant check against the Gram search alone on every so-selfdual
 candidate."""
 
 import itertools
+import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from charlattice import charmatch
-from charlattice.charmatch import same_formal_character
+from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
+from charlattice.linalg import dot, matvec
 from charlattice.reps import (SemisimpleAlgebra, direct_sum, enumerate_irreps_up_to_dim,
                               irreducible_character, weight_multiset)
-from charlattice.rootsys import SimpleType
+from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli.cases import _SO_STD, _faithful_sums, _partitions
 
 
@@ -162,3 +165,34 @@ def test_faithful_sums_counted_by_generating_function(m):
         alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
         irreps = enumerate_irreps_up_to_dim(alg, m)
         assert len(_faithful_sums(alg, irreps, m)) == count_covering_sums(part, m)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_sl2k_selfdual_closed_forms_match_the_character(k):
+    """sl2k-selfdual takes the norm and extreme inner products of the weights
+    of alt^k of sl_2k from `alt_power_stats`; here they are read off the
+    Freudenthal character of A_{2k-1} with highest weight omega_k under the
+    form the character induces.  That form is Weyl-invariant and the weights
+    make one Weyl orbit, so the inner products one weight meets are those
+    every weight meets, and the highest weight's row gives the extremes."""
+    n = 2 * k - 1
+    alg = SemisimpleAlgebra.parse(f"A{n}")
+    hw = tuple(int(i == k - 1) for i in range(n))
+    fc = irreducible_character(alg, hw)
+    weights = fc.distinct()
+    rs = build_root_system(SimpleType("A", n))
+    assert set(weights) == weyl_orbit(rs, hw)
+    form = char_inner_product(fc)
+    scale = math.lcm(*(x.denominator for row in form for x in row))
+    gram = [[int(x * scale) for x in row] for row in form]
+    for i in range(n):
+        s = [reflect_coords(rs, tuple(int(j == c) for j in range(n)), i) for c in range(n)]
+        assert [[dot(s[a], matvec(gram, s[b])) for b in range(n)] for a in range(n)] == gram
+
+    assert len({dot(w, matvec(gram, w)) for w in weights}) == 1
+    top = matvec(gram, hw)
+    norm = dot(hw, top)
+    others = [dot(w, top) for w in weights if w != hw]
+    stats = alt_power_stats(n, k)
+    assert Fraction(max(others), norm) == stats.max_ip / stats.norm2 == 1 - Fraction(2, k)
+    assert Fraction(min(others), norm) == stats.min_ip / stats.norm2 == -1

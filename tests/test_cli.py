@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from charlattice.verifycli.cases import known_cases
-from charlattice.verifycli.cli import main
+from charlattice.verifycli.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -311,6 +312,21 @@ def test_weights_over_bound_is_refused(capsys):
     assert err == "error: dimension 8 exceeds bound 5\n"  # no traceback
 
 
+@pytest.mark.parametrize("command", ["dim", "weights"])
+def test_negative_weight_is_a_weight_not_an_option(capsys, command):
+    code, out, err = run(capsys, command, "A2", "-1,0")
+    assert (code, out, err) == (2, "", "error: not dominant: (-1, 0)\n")
+    code, out, err = run(capsys, command, "A2+A1", "1,-2;0")
+    assert (code, out, err) == (2, "", "error: not dominant: (1, -2)\n")
+
+
+def test_negative_weight_keeps_later_options():
+    args = build_parser().parse_args(["weights", "A2", "-1,0", "--bound", "5"])
+    assert (args.weight, args.bound) == ("-1,0", 5)
+    args = build_parser().parse_args(["weights", "A2", "--bound", "5", "-1,0"])
+    assert (args.weight, args.bound) == ("-1,0", 5)
+
+
 def test_usage_error_for_bad_algebra(capsys):
     code, _, err = run(capsys, "dim", "Q5", "1")
     assert code == 2
@@ -365,6 +381,15 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert not loaded & {"abmultiset", "goursat", "verifycli.cases"}
     loaded = loaded_modules("verify-paper")
     assert {"charmatch", "abmultiset", "goursat", "verifycli.cases"} <= loaded
+
+
+def test_rank_above_root_datum_limit_is_refused_quickly():
+    start = time.perf_counter()
+    proc = python("-m", "charlattice.verifycli.cli", "dim", "A301", "w1")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: rank 301 of A301 exceeds the root-datum limit 300\n"
+    assert elapsed < 1.0
 
 
 def test_module_run_is_warning_free():

@@ -1,11 +1,16 @@
 """Weight multisets and dimensions against independent oracles.
 
 Type A dimensions are cross-checked with the hook content formula, which
-shares no code with the Weyl dimension product; small multisets are frozen by
-hand.
+shares no code with the Weyl dimension product, and type A multiplicities
+with Kostka numbers; small multisets are frozen by hand, and the multisets of
+a fixed grid over every family are pinned by hash.
 """
 
+import hashlib
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +20,13 @@ from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               irreducible_character, is_multiplicity_free,
                               multiplicity_free_catalog, negate_character,
                               restrict_to_subsystem, trivial_character,
-                              weight_multiset, weyl_dimension)
+                              weight_multiset, weyl_dimension, _simple_weight_multiset)
 from charlattice.rootsys import (SimpleType, build_root_system, reflect_coords,
                                  type_a_equal_rank)
+
+from kostka_oracle import content_of, hook_content_dimension, kostka, partition_of
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def algebra(name: str) -> SemisimpleAlgebra:
@@ -155,6 +164,57 @@ def test_multiset_invariants(name, hw):
                 reflected[image] = reflected.get(image, 0) + m
             assert reflected == fc.counts()
         offset += rs.rank
+
+
+def small_weights(stype: SimpleType, top: int, max_dim: int):
+    """Dominant weights of stype with coordinate sum at most top and
+    dimension at most max_dim, in lexicographic order."""
+    alg = SemisimpleAlgebra((stype,))
+    for hw in itertools.product(range(top + 1), repeat=stype.rank):
+        if sum(hw) <= top and weyl_dimension(alg, HighestWeight((hw,))) <= max_dim:
+            yield hw
+
+
+GRID_TYPES = ("A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 C4 C5 D4 D5 D6 "
+              "E6 E7 E8 F4 G2").split()
+
+
+def weight_multiset_grid():
+    """(type, weight) pairs of the pinned grid: coordinate sum at most 4 in
+    rank 1 and 2, at most 2 above, dimension at most 30000."""
+    for name in GRID_TYPES:
+        st = SimpleType.parse(name)
+        for hw in small_weights(st, 4 if st.rank <= 2 else 2, 30000):
+            yield st, hw
+
+
+def multiset_digest(stype: SimpleType, hw) -> str:
+    return hashlib.sha256(repr(_simple_weight_multiset(stype, hw)).encode()).hexdigest()
+
+
+def test_weight_multisets_match_golden_hashes():
+    """The golden file was written by the earlier saturated root-string
+    implementation; every (type, weight) of the grid must still hash the same."""
+    golden = json.loads((GOLDEN / "weight_multisets.json").read_text(encoding="utf-8"))
+    pairs = list(weight_multiset_grid())
+    assert [(row["type"], tuple(row["weight"])) for row in golden] == \
+        [(str(st), hw) for st, hw in pairs]
+    for row, (st, hw) in zip(golden, pairs):
+        assert multiset_digest(st, hw) == row["sha256"], (str(st), hw)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_a_multiplicities_match_kostka_numbers(n):
+    st = SimpleType("A", n)
+    for hw in small_weights(st, 3, 2000):
+        lam = partition_of(hw)
+        weights = _simple_weight_multiset(st, hw)
+        for w, m in weights:
+            content = content_of(w, sum(lam))
+            assert content is not None and kostka(lam, content) == m, (hw, w)
+        # every Kostka number is nonnegative, so a missed weight would leave
+        # the total below the number of tableaux
+        assert sum(m for _, m in weights) == hook_content_dimension(n + 1, lam), hw
 
 
 def test_dimension_bound_enforced():

@@ -13,8 +13,9 @@ from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
 from ambient_oracle import pairing as ambient_pairing
 from charlattice.reps import HighestWeight, SemisimpleAlgebra, weyl_dimension
-from charlattice.rootsys import (CartanTypeError, ClassificationError, LatticeInvolution,
-                                 SimpleType, build_root_system, classify_simple_system, coroot,
+from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, ClassificationError,
+                                 LatticeInvolution, SimpleType, build_root_system,
+                                 classify_simple_system, coroot,
                                  diagram_automorphisms, dominant_representative,
                                  equal_rank_subsystems, pairing, reflect_coords,
                                  type_a_equal_rank, weyl_orbit)
@@ -148,6 +149,13 @@ def test_rank_bounds_rejected():
         SimpleType("E", 9)
     with pytest.raises(CartanTypeError):
         SimpleType("H", 3)
+
+
+def test_root_datum_rank_limit():
+    for name in (f"A{MAX_ROOT_DATUM_RANK + 1}", "D1000"):
+        st = SimpleType.parse(name)  # the type itself is valid
+        with pytest.raises(CartanTypeError, match=f"limit {MAX_ROOT_DATUM_RANK}"):
+            build_root_system(st)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
