@@ -11,8 +11,11 @@ has at most one first factor.  The other factor is then a sub-multiset of
 the product that may be taken to hold the product's least element c0, and
 the search enumerates whichever of the two factors is smaller, so a (2, 8)
 split tries the 15 pairs through c0 rather than all 12,870 eight-element
-sub-multisets.  Both the enumeration and the row completion are iterative,
-so long factors never meet the recursion limit.
+sub-multisets.  A candidate is completed only if its translates inside the
+product leave room for every row of the other factor, and a partial
+candidate without that room is dropped with all its extensions.  Both the
+enumeration and the row completion are iterative, so long factors never
+meet the recursion limit.
 
 The search runs on elements packed into one int each: the torsion part most
 significant, then the free coordinates in balanced radix 6R + 1, where R is
@@ -155,48 +158,6 @@ class Decomposition:
         return tuple(
             (size, tuple(sorted(forms))) for size, forms in sorted(by_size.items())
         )
-
-
-def _sub_multisets(counts: list[tuple[Elem, int]], size: int):
-    """All sub-multisets of a counted multiset with the given total size.
-
-    Yielded as lists of (elem, take) with take > 0, in decreasing
-    lexicographic order of the takes: as many of the first element as
-    possible first.
-    """
-    cap = [0] * (len(counts) + 1)
-    for i in range(len(counts) - 1, -1, -1):
-        cap[i] = cap[i + 1] + counts[i][1]
-    if not 0 <= size <= cap[0]:
-        return
-    takes: list[int] = []      # the take at each position decided so far
-    chosen: list[tuple[Elem, int]] = []
-    left = size
-    while True:
-        while left:            # the greedy, lexicographically largest, tail
-            elem, avail = counts[len(takes)]
-            take = min(avail, left)
-            takes.append(take)
-            if take:
-                chosen.append((elem, take))
-                left -= take
-        yield list(chosen)
-        # Back up to the last take that can drop by one, the rest fitting
-        # into the positions after it.
-        while takes:
-            take = takes.pop()
-            if not take:
-                continue
-            chosen.pop()
-            left += take
-            if cap[len(takes) + 1] >= left - take + 1:
-                break
-        else:
-            return
-        takes.append(take - 1)
-        if take > 1:
-            chosen.append((counts[len(takes) - 1][0], take - 1))
-        left -= take - 1
 
 
 class _Packing:
@@ -355,18 +316,61 @@ def _pinned_pairs(pk: _Packing, counts: dict[int, int], order: list[int],
     """(rows of A, B) for A + B = c with 0 in A and c's least element c0 in B.
 
     c is given as the counts of its `pk` codes, `order` their sorted keys.
-    B runs over sub-multisets of c in `_sub_multisets` order; the A's of one
-    B come in the order the forced-row search finds them.
+    B runs over the sub-multisets of c that hold c0, in decreasing
+    lexicographic order of their multiplicities along `order` (as many of the
+    first element as possible first); the A's of one B come in the order the
+    forced-row search finds them.
+
+    A B is only completed if it has the capacity for a_size rows.  Let
+    cap(t) = min over e in B of floor(c(e + t) / B(e)).  A row alpha of A
+    with multiplicity k puts k copies of alpha + B inside c, so k <= cap(alpha)
+    and a_size <= sum of cap(t) over the translates t, which all lie in
+    c - c0.  cap only shrinks as B grows, so a partial B below a_size is
+    dropped with every B that extends it.  The element that completes B is
+    not filtered: `_completions` is the exact check there.
     """
+    modulus = pk.modulus
     head = order[0]
-    rest = [(head, counts[head] - 1)] + [(e, counts[e]) for e in order[1:]]
-    for tail in _sub_multisets(rest, b_size - 1):
-        if tail and tail[0][0] == head:
-            b_items = [(head, tail[0][1] + 1)] + tail[1:]
-        else:
-            b_items = [(head, 1)] + tail
-        for rows in _completions(pk, counts, order, b_items, a_size):
-            yield rows, b_items
+    room = [0] * (len(order) + 1)  # room[i]: the size of c from order[i] on
+    for i in range(len(order) - 1, -1, -1):
+        room[i] = room[i + 1] + counts[order[i]]
+    # One frame per position of `order` being decided: [position, next take
+    # to try, least take, size of B still to choose, cap of the B so far].
+    # Every frame below the top has its current take in `chosen`; a take of 0
+    # replaces the top frame by the next position's.  cap maps each
+    # translate to its capacity; the translate gamma - c0 is kept as the
+    # difference of the codes, so e + t has code (e + t) % modulus.
+
+    def frame(i, left, cap):
+        least = max(int(i == 0), left - room[i + 1])  # B holds c0
+        return [i, min(counts[order[i]], left), least, left, cap]
+
+    frames = [frame(0, b_size, {gamma - head: counts[gamma] for gamma in order})]
+    chosen: list[tuple[int, int]] = []
+    while frames:
+        i, take, least, left, cap = frames[-1]
+        if take < least:
+            frames.pop()
+            if frames:
+                chosen.pop()
+            continue
+        frames[-1][1] = take - 1
+        if not take:
+            frames[-1] = frame(i + 1, left, cap)
+            continue
+        e = order[i]
+        if take == left:
+            b_items = chosen + [(e, take)]
+            for rows in _completions(pk, counts, order, b_items, a_size):
+                yield rows, b_items
+            continue
+        if i or take > 1:  # the starting cap is that of B = {c0}
+            cap = {t: min(k, w) for t, k in cap.items()
+                   if (w := counts.get((e + t) % modulus, 0) // take)}
+            if sum(cap.values()) < a_size:
+                continue
+        chosen.append((e, take))
+        frames.append(frame(i + 1, left - take, cap))
 
 
 def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
@@ -383,6 +387,11 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
     alpha in X, of which the least as a sorted list is the one a direct search
     reaches first.  Completing those second factors in sorted order yields the
     direct search's pairs that lead every class, in the same order.
+
+    Either way, a sub-multiset is completed only if its translates have the
+    capacity for the other factor's rows (see `_pinned_pairs`): a necessary
+    condition that prunes whole subtrees of the enumeration and changes
+    neither the pairs found nor their order.
 
     The search runs on `_Packing` codes sized by c's largest coordinate;
     only the returned factors are decoded.

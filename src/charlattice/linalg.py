@@ -49,8 +49,9 @@ def identity(n: int) -> Mat:
 def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)).
 
-    Each row is first scaled by the least common denominator of its entries,
-    which changes no pivot.  Pivots are then taken left to right among the
+    Each row that holds a Fraction is first scaled by the least common
+    denominator of its entries, which changes no pivot; integer rows are
+    copied as they are.  Pivots are then taken left to right among the
     first ncols columns (all columns by default), each from the first row at
     or below the current one with a nonzero entry, and elimination stops once
     every row has a pivot.  Every division is exact, because after k pivots
@@ -64,6 +65,9 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
     """
     work = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            work.append(list(row))
+            continue
         scale = lcm(*(x.denominator for x in row))
         work.append([x.numerator * (scale // x.denominator) for x in row])
     if ncols is None:

@@ -291,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # argparse reads what its negative-number matcher accepts as a positional
+    # or an option's value, not as an option
     negative_weight = re.compile(r"-\d")
 
     p = sub.add_parser("dim", help="dimension of an irreducible")
@@ -319,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_samechar)
 
     p = sub.add_parser("factorize", help="sumset factorizations of a multiset file")
+    p._negative_number_matcher = negative_weight
     p.add_argument("file")
     p.add_argument("--profile", required=True, help="factor sizes, e.g. 2,3")
     p.add_argument("--torsion", type=int, default=1,

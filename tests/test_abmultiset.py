@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charlattice import abmultiset
 from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset, _Packing,
                                     canonical_form, factorization_count_bound,
                                     factorizations, multiset_product)
 from charlattice.reps import SemisimpleAlgebra, irreducible_character
 
-from factor_reference import reference_canonical_form, reference_factorizations
+from factor_reference import (_sub_multisets as reference_sub_multisets,
+                              reference_canonical_form, reference_factorizations)
 
 Z2 = AbGroup(torsion=1, free_rank=2)
 Z1 = AbGroup(torsion=1, free_rank=1)
@@ -364,6 +366,87 @@ def test_canonical_form_matches_every_translate(torsion, free_rank, data):
                               max_size=7))
     a = GroupMultiset.from_iterable(g, rows)
     assert canonical_form(a) == reference_canonical_form(a)
+
+
+@st.composite
+def repeated_products(draw):
+    """(c, a, b): a product of factors of sizes a and b drawn from a few
+    elements of Z/m x Z^{1,2}, m = 1..7, so elements repeat in the factors and
+    the product; sometimes one element of c is replaced, so c is rarely a
+    product."""
+    torsion = draw(st.integers(1, 7))
+    group = AbGroup(torsion=torsion, free_rank=draw(st.integers(1, 2)))
+    pool = draw(st.lists(st.builds(lambda t, f: group.element(t, f),
+                                   st.integers(0, torsion - 1),
+                                   st.tuples(*[st.integers(-2, 2)] * group.free_rank)),
+                         min_size=1, max_size=4, unique=True))
+    a, b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3),
+                                 (3, 4), (4, 3), (4, 4), (2, 6), (6, 2)]))
+    factors = [draw(st.lists(st.sampled_from(pool), min_size=s, max_size=s)) for s in (a, b)]
+    rows = [group.add(x, y) for x in factors[0] for y in factors[1]]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(pool))
+    return GroupMultiset.from_iterable(group, rows), a, b
+
+
+def unpruned_pinned_pairs(pk, counts, order, a_size, b_size):
+    """(rows, B) of every B through c0 in the reference sub-multiset order,
+    each completed by `_completions`: the search without the capacity bound."""
+    out = []
+    for b_items in reference_sub_multisets([(x, counts[x]) for x in order], b_size):
+        if b_items[0][0] == order[0]:
+            out += [(rows, b_items)
+                    for rows in abmultiset._completions(pk, counts, order, b_items, a_size)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeated_products())
+def test_capacity_pruning_keeps_every_pinned_pair_in_order(case):
+    # The direct branch enumerates B of size b <= a, the swap branch the
+    # smaller factor against the larger one's rows: both orders are checked.
+    c, a, b = case
+    pk = _Packing(c.group, max((abs(x) for e, _ in c.elems for x in e[1]), default=0))
+    order = [pk.pack(e) for e, _ in c.elems]
+    counts = {x: m for x, (_, m) in zip(order, c.elems)}
+    for rows, size in ((a, b), (b, a)):
+        pruned = [(list(r), list(items))
+                  for r, items in abmultiset._pinned_pairs(pk, counts, order, rows, size)]
+        assert pruned == unpruned_pinned_pairs(pk, counts, order, rows, size)
+        assert counts == {x: m for x, (_, m) in zip(order, c.elems)}
+
+
+# A planted 4 x 4 product in Z/5 x Z with distinct sums, and the same product
+# with (3, 27) replaced by (4, -31).
+PLANTED_4X4 = ([(2, (28,)), (1, (12,)), (3, (-17,)), (4, (-2,))],
+               [(4, (38,)), (1, (-1,)), (1, (23,)), (2, (13,))])
+
+
+@pytest.mark.parametrize("perturbed,calls,found", [(False, 10, 1), (True, 7, 0)])
+def test_pinned_search_completes_few_of_the_455_candidates(monkeypatch, perturbed,
+                                                           calls, found):
+    # Without the capacity bound all C(15, 3) = 455 candidates through c0
+    # are completed; the counts are deterministic, so a weaker bound fails
+    # here without any timing.
+    g = AbGroup(torsion=5, free_rank=1)
+    left, right = (GroupMultiset.from_iterable(g, f) for f in PLANTED_4X4)
+    counts = multiset_product(left, right).counts()
+    if perturbed:
+        del counts[(3, (27,))]
+        counts[(4, (-31,))] = 1
+    completions = abmultiset._completions
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return completions(*args)
+
+    monkeypatch.setattr(abmultiset, "_completions", counted)
+    decs = factorizations(GroupMultiset.from_counts(g, counts), (4, 4))
+    assert (len(made), len(decs)) == (calls, found)
+    assert len(made) < 455 // 20
+    if not perturbed:
+        assert decs[0].key() == Decomposition(factors=(left, right)).key()
 
 
 @pytest.mark.parametrize("profile", [(1100, 2), (2, 1100)])

@@ -327,6 +327,15 @@ def test_negative_weight_keeps_later_options():
     assert (args.weight, args.bound) == ("-1,0", 5)
 
 
+@pytest.mark.parametrize("profile", ["-2,2", "2,-2"])
+def test_negative_profile_size_reaches_the_profile_check(capsys, tmp_path, profile):
+    f = tmp_path / "line.mset"
+    f.write_text("0\n1\n2\n3\n", encoding="utf-8")
+    code, out, err = run(capsys, "factorize", str(f), "--profile", profile)
+    sizes = ", ".join(profile.split(","))
+    assert (code, out, err) == (2, "", f"error: profile ({sizes}) does not multiply to 4\n")
+
+
 def test_usage_error_for_bad_algebra(capsys):
     code, _, err = run(capsys, "dim", "Q5", "1")
     assert code == 2
