@@ -334,43 +334,45 @@ def _pinned_pairs(pk: _Packing, counts: dict[int, int], order: list[int],
     room = [0] * (len(order) + 1)  # room[i]: the size of c from order[i] on
     for i in range(len(order) - 1, -1, -1):
         room[i] = room[i + 1] + counts[order[i]]
-    # One frame per position of `order` being decided: [position, next take
-    # to try, least take, size of B still to choose, cap of the B so far].
-    # Every frame below the top has its current take in `chosen`; a take of 0
-    # replaces the top frame by the next position's.  cap maps each
-    # translate to its capacity; the translate gamma - c0 is kept as the
-    # difference of the codes, so e + t has code (e + t) % modulus.
+    # One frame per distinct element of B, the first for c0: (its (position,
+    # take) choices not yet tried, the size of B left to choose, the cap of
+    # the B before it).  The choices run along `order` from the previous
+    # element's successor, each take from the largest down, and leave room
+    # for the rest of B.  `chosen` holds the current choice of every frame
+    # but the top.  cap maps each translate to its capacity; the translate
+    # gamma - c0 is kept as the difference of the codes, so e + t has code
+    # (e + t) % modulus.
 
-    def frame(i, left, cap):
-        least = max(int(i == 0), left - room[i + 1])  # B holds c0
-        return [i, min(counts[order[i]], left), least, left, cap]
+    def choices(start, stop, left):
+        return ((i, take) for i in range(start, stop)
+                for take in range(min(counts[order[i]], left),
+                                  max(0, left - room[i + 1] - 1), -1))
 
-    frames = [frame(0, b_size, {gamma - head: counts[gamma] for gamma in order})]
+    frames = [(choices(0, 1, b_size), b_size,
+               {gamma - head: counts[gamma] for gamma in order})]
     chosen: list[tuple[int, int]] = []
     while frames:
-        i, take, least, left, cap = frames[-1]
-        if take < least:
-            frames.pop()
-            if frames:
-                chosen.pop()
-            continue
-        frames[-1][1] = take - 1
-        if not take:
-            frames[-1] = frame(i + 1, left, cap)
-            continue
-        e = order[i]
-        if take == left:
-            b_items = chosen + [(e, take)]
-            for rows in _completions(pk, counts, order, b_items, a_size):
-                yield rows, b_items
-            continue
-        if i or take > 1:  # the starting cap is that of B = {c0}
-            cap = {t: min(k, w) for t, k in cap.items()
-                   if (w := counts.get((e + t) % modulus, 0) // take)}
-            if sum(cap.values()) < a_size:
+        untried, left, cap = frames[-1]
+        for i, take in untried:
+            e = order[i]
+            if take == left:
+                b_items = chosen + [(e, take)]
+                for rows in _completions(pk, counts, order, b_items, a_size):
+                    yield rows, b_items
                 continue
-        chosen.append((e, take))
-        frames.append(frame(i + 1, left - take, cap))
+            grown = cap
+            if i or take > 1:  # the starting cap is that of B = {c0}
+                grown = {t: k if k < w else w for t, k in cap.items()
+                         if (w := counts.get((e + t) % modulus, 0) // take)}
+                if sum(grown.values()) < a_size:
+                    continue
+            chosen.append((e, take))
+            frames.append((choices(i + 1, len(order), left - take), left - take, grown))
+            break
+        else:
+            frames.pop()
+            if chosen:
+                chosen.pop()
 
 
 def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
