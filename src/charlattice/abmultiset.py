@@ -18,16 +18,18 @@ enumeration and the row completion are iterative, so long factors never
 meet the recursion limit.
 
 The search runs on elements packed into one int each: the torsion part most
-significant, then the free coordinates in balanced radix 6R + 1, where R is
-the largest |coordinate| of the multiset being factored.  Every value the
-search forms lies within +-3R, inside one digit, so adding and subtracting
-are int operations that never carry between coordinates, and int order is
-the order of (torsion, free) pairs.  Only the returned factors are decoded.
+significant, then the free coordinates in balanced radix 8R + 1, where R is
+the largest |coordinate| of the multiset being factored.  The product is
+packed once per call: every nested target of a multi-factor profile lies
+inside it, and every value formed, up to the canonical form of a first
+factor, lies within +-4R, inside one digit.  So adding and subtracting are
+int operations that never carry between coordinates, int order is the order
+of (torsion, free) pairs, and the dedup keys are canonical forms computed on
+codes.  Only the factors of the kept decompositions are decoded.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -116,22 +118,9 @@ def multiset_product(a: GroupMultiset, b: GroupMultiset) -> GroupMultiset:
 
 def canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
     """Translation-invariant canonical key: the least sorted translate with some
-    element at 0.
-
-    The translate by -e starts with (0, f - e's free part), f the least free
-    part in e's torsion class.  So only the element with the greatest free
-    part of each class can give the least translate, and only the classes
-    where that start is least are translated in full.
-    """
-    low: dict[int, tuple[int, ...]] = {}
-    high: dict[int, Elem] = {}
-    for e, _ in a.elems:  # sorted: a class starts at its least free part
-        low.setdefault(e[0], e[1])
-        high[e[0]] = e
-    starts = {t: tuple(x - y for x, y in zip(low[t], e[1])) for t, e in high.items()}
-    least = min(starts.values(), default=None)
-    return min((a.translate(a.group.neg(high[t])).elems
-                for t, start in starts.items() if start == least), default=())
+    element at 0 (see `_canonical_codes`)."""
+    pk = _Packing(a.group, _radius(a.elems))
+    return pk.decode(_canonical_codes(pk, [(pk.pack(e), m) for e, m in a.elems]))
 
 
 @dataclass(frozen=True)
@@ -151,21 +140,40 @@ class Decomposition:
         return out
 
     def key(self) -> tuple:
-        # Equal-size factors may be rearranged, so group canonical forms by size.
-        by_size: dict[int, list] = {}
-        for f in self.factors:
-            by_size.setdefault(f.size, []).append(canonical_form(f))
-        return tuple(
-            (size, tuple(sorted(forms))) for size, forms in sorted(by_size.items())
-        )
+        pk = _Packing(self.factors[0].group,
+                      max(_radius(f.elems) for f in self.factors))
+        key = _key([(f.size, _canonical_codes(pk, [(pk.pack(e), m) for e, m in f.elems]))
+                    for f in self.factors])
+        return tuple((size, tuple(pk.decode(form) for form in forms)) for size, forms in key)
+
+
+def _radius(items) -> int:
+    """The largest |coordinate| of the elements of (element, multiplicity) pairs."""
+    return max((abs(x) for e, _ in items for x in e[1]), default=0)
+
+
+def _key(forms) -> tuple:
+    """Dedup key of a decomposition from its (size, canonical form) pairs.
+
+    Equal-size factors may be rearranged, so the forms are grouped by size.
+    """
+    by_size: dict[int, list] = {}
+    for size, form in forms:
+        by_size.setdefault(size, []).append(form)
+    return tuple((size, tuple(sorted(same))) for size, same in sorted(by_size.items()))
 
 
 class _Packing:
     """Elements of Z/m x Z^d as single ints, for a factorization search over
-    a multiset whose coordinates lie within +-radius.
+    a multiset c whose coordinates lie within +-radius.
 
-    The search forms gamma - beta and alpha + e from elements of that
-    multiset, so every coordinate it meets lies within +-h, h = 3*radius.
+    Every value the search forms lies within +-h, h = 4*radius.  With 0 in
+    the first factor A, the second factor B is a sub-multiset of c, so every
+    nested target is too and lies within +-radius; a row gamma - beta of A
+    lies within +-2*radius, a translate alpha + e of B within +-3*radius,
+    and the canonical form of A, a translate of A by minus one of its own
+    elements, within +-4*radius.  One packing therefore serves every level
+    of a factorization and its dedup keys.
     (t, f) has code t*S + F + H: F writes f in radix W = 2h + 1 with digits
     in [-h, h], the first coordinate most significant, S = W^d, and
     H = S // 2 = h*(W^(d-1) + ... + W + 1) lifts every digit into [0, W).
@@ -178,7 +186,7 @@ class _Packing:
 
     def __init__(self, group: AbGroup, radius: int):
         self.group = group
-        self.h = 3 * radius
+        self.h = 4 * radius
         self.width = 2 * self.h + 1
         self.stride = self.width ** group.free_rank
         self.half = self.stride // 2
@@ -198,13 +206,42 @@ class _Packing:
             free[i] = digit - self.h
         return (t, tuple(free))
 
-    def multiset(self, items) -> GroupMultiset:
-        """The multiset of (code, multiplicity) pairs, decoded."""
-        counts: dict[int, int] = {}
-        for x, m in items:
-            counts[x] = counts.get(x, 0) + m
-        return GroupMultiset(self.group, tuple((self.unpack(x), m)
-                                               for x, m in sorted(counts.items())))
+    def decode(self, items) -> tuple[tuple[Elem, int], ...]:
+        """(element, multiplicity) pairs of (code, multiplicity) pairs, in order."""
+        return tuple((self.unpack(x), m) for x, m in items)
+
+
+def _tally(codes) -> list[tuple[int, int]]:
+    """The (code, multiplicity) pairs of a list of codes, sorted."""
+    counts: dict[int, int] = {}
+    for x in sorted(codes):
+        counts[x] = counts.get(x, 0) + 1
+    return list(counts.items())
+
+
+def _canonical_codes(pk: _Packing, items) -> tuple[tuple[int, int], ...]:
+    """The least sorted translate with some element at 0 of the multiset of
+    sorted, distinct (code, multiplicity) pairs, as such pairs.
+
+    The translate by -e starts with (0, f - e's free part), f the least free
+    part in e's torsion class.  So only the greatest element of each class
+    can give the least translate, and only the classes where that start is
+    least are translated in full.  Translating by -e maps class t to class
+    t - t(e) and keeps the order inside a class, so the sorted translate is
+    the items rotated to start at e's class.
+    """
+    if not items:
+        return ()
+    stride, half, modulus = pk.stride, pk.half, pk.modulus
+    classes = []  # (start, position of the first item, greatest code) per class
+    first = 0
+    for i, (x, _) in enumerate(items):
+        if i + 1 == len(items) or items[i + 1][0] // stride != x // stride:
+            classes.append((items[first][0] - x, first, x))
+            first = i + 1
+    least = min(start for start, _, _ in classes)
+    return min(tuple(((x - top + half) % modulus, m) for x, m in items[first:] + items[:first])
+               for start, first, top in classes if start == least)
 
 
 def _completions(pk: _Packing, counts: dict[int, int], order: list[int],
@@ -375,8 +412,11 @@ def _pinned_pairs(pk: _Packing, counts: dict[int, int], order: list[int],
                 chosen.pop()
 
 
-def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
+def _binary_factorizations(pk: _Packing, c_items: list[tuple[int, int]],
+                           a_size: int, b_size: int):
     """(A, B) with A + B = c, #A = a_size, #B = b_size, 0 in A, B a sub-multiset.
+
+    c, A and B are sorted, distinct (code, multiplicity) pairs of `pk`.
 
     Any factorization A + B can be translated so that 0 is in A; then B is a
     sub-multiset of c and the remaining rows of A are forced one by one.  In
@@ -394,15 +434,11 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
     capacity for the other factor's rows (see `_pinned_pairs`): a necessary
     condition that prunes whole subtrees of the enumeration and changes
     neither the pairs found nor their order.
-
-    The search runs on `_Packing` codes sized by c's largest coordinate;
-    only the returned factors are decoded.
     """
-    pk = _Packing(c.group, max((abs(x) for e, _ in c.elems for x in e[1]), default=0))
-    order = [pk.pack(e) for e, _ in c.elems]
-    counts = {x: m for x, (_, m) in zip(order, c.elems)}
+    order = [x for x, _ in c_items]
+    counts = dict(c_items)
     if b_size <= a_size:
-        return [(pk.multiset((r, 1) for r in rows), pk.multiset(b_items))
+        return [(_tally(rows), b_items)
                 for rows, b_items in _pinned_pairs(pk, counts, order, a_size, b_size)]
     half, modulus = pk.half, pk.modulus
     seconds = {min(tuple(sorted((r + alpha - half) % modulus for r in rows))
@@ -410,9 +446,8 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
                for rows, x_items in _pinned_pairs(pk, counts, order, b_size, a_size)}
     out = []
     for second in sorted(seconds):
-        b_items = list(Counter(second).items())
-        b_mset = pk.multiset(b_items)
-        out += [(pk.multiset((r, 1) for r in rows), b_mset)
+        b_items = _tally(second)
+        out += [(_tally(rows), b_items)
                 for rows in _completions(pk, counts, order, b_items, a_size)]
     return out
 
@@ -441,21 +476,26 @@ def factorizations(c: GroupMultiset, profile: tuple[int, ...]) -> tuple[Decompos
     if len(sizes) > 1 and any(s <= 1 for s in sizes):
         raise ValueError("factor sizes must exceed 1")
 
-    def recurse(target: GroupMultiset, shape: tuple[int, ...]):
+    # The search, the recursion and the dedup keys all run on codes of one
+    # packing (see `_Packing`); only the kept decompositions are decoded.
+    pk = _Packing(c.group, _radius(c.elems))
+
+    def recurse(target: list[tuple[int, int]], shape: tuple[int, ...]):
         if len(shape) == 1:
             yield (target,)
             return
         rest = 1
         for s in shape[1:]:
             rest *= s
-        for a_mset, b_mset in _binary_factorizations(target, shape[0], rest):
-            for tail in recurse(b_mset, shape[1:]):
-                yield (a_mset,) + tail
+        for a_items, b_items in _binary_factorizations(pk, target, shape[0], rest):
+            for tail in recurse(b_items, shape[1:]):
+                yield (a_items,) + tail
 
-    found: dict[tuple, Decomposition] = {}
-    for factors in recurse(c, sizes):
-        dec = Decomposition(factors=factors)
-        k = dec.key()
+    found: dict[tuple, tuple] = {}
+    for factors in recurse([(pk.pack(e), m) for e, m in c.elems], sizes):
+        k = _key(zip(sizes, (_canonical_codes(pk, f) for f in factors)))
         if k not in found:
-            found[k] = dec
-    return tuple(found[k] for k in sorted(found))
+            found[k] = factors
+    return tuple(Decomposition(factors=tuple(GroupMultiset(c.group, pk.decode(f))
+                                             for f in found[k]))
+                 for k in sorted(found))

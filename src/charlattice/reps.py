@@ -158,10 +158,15 @@ def is_multiplicity_free(fc: FormalCharacter) -> bool:
 # Dimensions and weight multisets.
 
 
-def _factor_dimension(rs: RootSystem, hw: Coords) -> int:
+@lru_cache(maxsize=None)
+def _factor_dimension(stype: SimpleType, hw: Coords) -> int:
     """Weyl's product of (lambda + rho, beta) / (rho, beta) over beta > 0, each
     side doubled as in rootsys.pairing: beta dotted with (lambda + rho) o l
-    and with rho o l = l."""
+    and with rho o l = l.  Memoized per (type, weight), like
+    `_simple_weight_multiset`: every weight multiset checks its dimension
+    bound first, and the exhaustive enumerations meet a weight again for
+    every algebra that contains its factor."""
+    rs = build_root_system(stype)
     lengths = rs.root_lengths
     shifted = tuple((c + 1) * l for c, l in zip(hw, lengths))
     num = den = 1
@@ -177,10 +182,10 @@ def _factor_dimension(rs: RootSystem, hw: Coords) -> int:
 def weyl_dimension(alg: SemisimpleAlgebra, hw: HighestWeight) -> int:
     """Dimension of the irreducible with the given highest weight."""
     out = 1
-    for rs, coords in zip(alg.root_systems(), hw.by_factor):
-        if len(coords) != rs.rank:
+    for stype, coords in zip(alg.factors, hw.by_factor):
+        if len(coords) != stype.rank:
             raise AlgebraMismatchError("highest weight does not match algebra")
-        out *= _factor_dimension(rs, coords)
+        out *= _factor_dimension(stype, coords)
     return out
 
 
@@ -362,8 +367,7 @@ def multiplicity_free_catalog(stype: SimpleType, max_dim: int | None = None) -> 
 def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int], ...]:
     """Highest weights and dimensions of the irreducibles of one simple type
     of dimension at most dmax, sorted by (dimension, weight)."""
-    rs = build_root_system(stype)
-    rank = rs.rank
+    rank = stype.rank
     out: list[tuple[Coords, int]] = []
 
     def extend(prefix: list[int], dim: int) -> None:
@@ -376,7 +380,7 @@ def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int],
         value = 1
         while True:
             candidate = prefix + [value]
-            dim_here = _factor_dimension(rs, tuple(candidate + [0] * (rank - pos - 1)))
+            dim_here = _factor_dimension(stype, tuple(candidate + [0] * (rank - pos - 1)))
             if dim_here > dmax:
                 break
             extend(candidate, dim_here)

@@ -338,11 +338,12 @@ def coordinate_pair(data, h, sign):
 @given(torsion=st.sampled_from([1, 2, 3, 4, 6]), free_rank=st.integers(0, 3),
        radius=st.one_of(st.integers(0, 3), st.integers(0, 10**6)), data=st.data())
 def test_packing_round_trip_order_and_arithmetic(torsion, free_rank, radius, data):
-    # A search over elements within +-radius forms values within +-3*radius;
-    # on all of them the codes must decode, sort and add like the elements.
+    # A factorization of elements within +-radius forms values within
+    # +-4*radius (the canonical forms of its first factors); on all of them
+    # the codes must decode, sort and add like the elements.
     g = AbGroup(torsion=torsion, free_rank=free_rank)
     pk = _Packing(g, radius)
-    h = 3 * radius
+    h = 4 * radius
     torsions = st.integers(0, torsion - 1)
     for sign, op, packed in ((1, g.add, lambda x, y: (x + y - pk.half) % pk.modulus),
                              (-1, g.sub, lambda x, y: (x - y + pk.half) % pk.modulus)):
@@ -366,6 +367,24 @@ def test_canonical_form_matches_every_translate(torsion, free_rank, data):
                               max_size=7))
     a = GroupMultiset.from_iterable(g, rows)
     assert canonical_form(a) == reference_canonical_form(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(torsion=st.integers(1, 7), free_rank=st.integers(0, 2),
+       radius=st.integers(0, 3), data=st.data())
+def test_packed_canonical_form_matches_every_translate(torsion, free_rank, radius, data):
+    # The search keys first factors by their packed canonical forms; a row
+    # of a first factor lies within +-2*radius of a product within +-radius.
+    g = AbGroup(torsion=torsion, free_rank=free_rank)
+    pool = data.draw(st.lists(st.tuples(st.integers(0, torsion - 1),
+                                        st.tuples(*[st.integers(-2 * radius, 2 * radius)]
+                                                  * free_rank)),
+                              min_size=1, max_size=4))
+    a = GroupMultiset.from_iterable(g, data.draw(st.lists(st.sampled_from(pool),
+                                                          max_size=8)))
+    pk = _Packing(g, radius)
+    form = abmultiset._canonical_codes(pk, [(pk.pack(e), m) for e, m in a.elems])
+    assert pk.decode(form) == reference_canonical_form(a)
 
 
 @st.composite
@@ -447,6 +466,50 @@ def test_pinned_search_completes_few_of_the_455_candidates(monkeypatch, perturbe
     assert len(made) < 455 // 20
     if not perturbed:
         assert decs[0].key() == Decomposition(factors=(left, right)).key()
+
+
+# Three 2-element factors in Z/3 x Z with distinct sums, and three in Z^2.
+# Factored as (2, 2, 2) the six orders of the first are one class; factored
+# as (2, 4) the second is the larger factor, so the search enumerates the
+# first (the swap branch), and any of the three may be the first.
+PLANTED_2X2X2 = (3, 1, [[(0, (0,)), (1, (5,))], [(0, (0,)), (2, (17,))],
+                        [(0, (0,)), (0, (40,))]])
+PLANTED_2X2_2 = (1, 2, [[(0, (0, 0)), (0, (3, 1))], [(0, (0, 0)), (0, (1, 5))],
+                        [(0, (0, 0)), (0, (-4, 2))]])
+
+
+@pytest.mark.parametrize("planted,profile,found,unpacks",
+                         [(PLANTED_2X2X2, (2, 2, 2), 1, 6), (PLANTED_2X2_2, (2, 4), 3, 18)])
+def test_factorizations_pack_once_and_decode_only_kept_factors(monkeypatch, planted, profile,
+                                                               found, unpacks):
+    # The search, the recursion and the dedup keys run on the codes of one
+    # packing, and only the factors of the kept decompositions are decoded.
+    # The counts are deterministic, so a regression fails without timing.
+    torsion, free_rank, factors = planted
+    g = AbGroup(torsion=torsion, free_rank=free_rank)
+    msets = [GroupMultiset.from_iterable(g, f) for f in factors]
+    prod = msets[0]
+    for f in msets[1:]:
+        prod = multiset_product(prod, f)
+    made, decoded = [], []
+    init, unpack = _Packing.__init__, _Packing.unpack
+
+    def counted_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def counted_unpack(self, x):
+        decoded.append(x)
+        return unpack(self, x)
+
+    monkeypatch.setattr(_Packing, "__init__", counted_init)
+    monkeypatch.setattr(_Packing, "unpack", counted_unpack)
+    decs = factorizations(prod, profile)
+    assert (len(made), len(decs), len(decoded)) == (1, found, unpacks)
+    assert len(decoded) == sum(len(f.elems) for d in decs for f in d.factors)
+    monkeypatch.undo()
+    planted = msets if len(profile) == 3 else [msets[0], multiset_product(*msets[1:])]
+    assert Decomposition(factors=tuple(planted)).key() in {d.key() for d in decs}
 
 
 @pytest.mark.parametrize("profile", [(1100, 2), (2, 1100)])

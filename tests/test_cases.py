@@ -8,16 +8,18 @@ import math
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from charlattice import charmatch
+from charlattice import charmatch, reps
 from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
 from charlattice.linalg import dot, matvec
 from charlattice.reps import (SemisimpleAlgebra, direct_sum, enumerate_irreps_up_to_dim,
                               irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
-from charlattice.verifycli.cases import _SO_STD, _faithful_sums, _partitions
+from charlattice.verifycli.cases import (_SO_STD, _faithful_sums, _partitions, default_suite,
+                                         run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -196,3 +198,30 @@ def test_sl2k_selfdual_closed_forms_match_the_character(k):
     stats = alt_power_stats(n, k)
     assert Fraction(max(others), norm) == stats.max_ip / stats.norm2 == 1 - Fraction(2, k)
     assert Fraction(min(others), norm) == stats.min_ip / stats.norm2 == -1
+
+
+def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
+    # Every weight multiset checks its dimension bound and every exhaustive
+    # enumeration meets a weight again per algebra, so the battery asks for
+    # 542 simple-factor dimensions; the memo computes each of the 54
+    # distinct (type, weight) pairs once.  Fresh caches make the counts
+    # independent of what ran before.
+    compute = reps._factor_dimension.__wrapped__
+    asked, computed = [], []
+
+    def counted(stype, hw):
+        computed.append((stype, hw))
+        return compute(stype, hw)
+
+    memo = lru_cache(maxsize=None)(counted)
+
+    def ask(stype, hw):
+        asked.append((stype, hw))
+        return memo(stype, hw)
+
+    monkeypatch.setattr(reps, "_factor_dimension", ask)
+    monkeypatch.setattr(reps, "_enumerate_simple",
+                        lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
+    for case_id, params in default_suite(0):
+        assert run_case(case_id, params).verdict
+    assert (len(asked), len(computed), len(set(computed))) == (542, 54, 54)
