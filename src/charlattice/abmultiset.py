@@ -30,13 +30,14 @@ codes.  Only the factors of the kept decompositions are decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+
+from ._record import record
 
 Elem = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class AbGroup:
     """The ambient group Z/torsion x Z^free_rank; torsion 1 means free only."""
 
@@ -66,7 +67,7 @@ class AbGroup:
         return self.add(x, self.neg(y))
 
 
-@dataclass(frozen=True)
+@record
 class GroupMultiset:
     """A finite multiset of group elements, stored sorted with multiplicities."""
 
@@ -123,7 +124,7 @@ def canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
     return pk.decode(_canonical_codes(pk, [(pk.pack(e), m) for e, m in a.elems]))
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """An ordered factorization of a multiset into factors of fixed sizes."""
 

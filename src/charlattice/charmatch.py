@@ -17,13 +17,13 @@ leave the module (witness matrices, norm2, char_inner_product).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import neg
 
 from . import linalg
+from ._record import record
 from .linalg import Mat
 from .reps import FormalCharacter
 from .rootsys import Coords, LatticeInvolution
@@ -104,7 +104,7 @@ def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
 # Formal-character matching.
 
 
-@dataclass(frozen=True)
+@record
 class CharIsomorphism:
     """A linear weight-space bijection carrying one character onto another,
     held as the integer matrix scaled over the denominator den > 0."""
@@ -300,7 +300,7 @@ def _linear_witness(source: _MatchData, targets) -> tuple[Mat, int]:
 # Closed-form alternating-power statistics, max-norm weights, conjugation sums.
 
 
-@dataclass(frozen=True)
+@record
 class AltPowerStats:
     """Norm and extreme inner products among weights of an alternating power."""
 
@@ -326,7 +326,7 @@ def alt_power_stats(n: int, a: int) -> AltPowerStats:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MaxNormRecord:
     """The maximal-norm weights of a character under its induced form."""
 
@@ -354,7 +354,7 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
                          bound_ok=bound_ok)
 
 
-@dataclass(frozen=True)
+@record
 class ConjugationMultiset:
     """The multiset of sums w + inv(w) over a character's weights."""
 

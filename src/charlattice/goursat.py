@@ -9,8 +9,7 @@ finite check over type-compatible partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .rootsys import SimpleType
 
 
@@ -25,7 +24,7 @@ class TooManyFactorsError(GoursatError):
 MAX_FACTORS = 6
 
 
-@dataclass(frozen=True)
+@record
 class GoursatSpec:
     """factors with a partition into diagonal blocks; indices are 0-based."""
 
@@ -79,7 +78,7 @@ def _compatible_partitions(factors: tuple[SimpleType, ...]):
     yield from grow(0, [])
 
 
-@dataclass(frozen=True)
+@record
 class GoursatReport:
     factors: tuple[SimpleType, ...]
     specs_checked: int

@@ -8,16 +8,22 @@ nature (inverses and solutions), never in the elimination itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-Vec = tuple[int | Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# `fractions` is imported only by the three functions that build Fractions,
+# so that root data and the Weyl dimension load without it.
+Vec = tuple["int | Fraction", ...]
 Mat = tuple[Vec, ...]
 
 
 def vec(entries: Iterable) -> Vec:
+    from fractions import Fraction
+
     return tuple(Fraction(x) for x in entries)
 
 
@@ -134,6 +140,8 @@ def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, Mat]:
 
 def invert(m: Sequence[Sequence]) -> Mat:
     """Inverse of a square matrix, in Fractions; raises ValueError when singular."""
+    from fractions import Fraction
+
     d, scaled = det_adjugate(m)
     return tuple(tuple(Fraction(x, d) for x in row) for row in scaled)
 
@@ -144,6 +152,8 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Vec | None:
     The columns may be an overdetermined spanning set of a subspace; when the
     system is underdetermined the free coefficients are set to zero.
     """
+    from fractions import Fraction
+
     ncols = len(columns)
     aug, pivots, d = _eliminate(
         [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(len(target))],

@@ -9,9 +9,9 @@ each simple factor; everything downstream of that is bookkeeping.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .rootsys import (
     Coords,
     RootSystem,
@@ -35,7 +35,7 @@ class AlgebraMismatchError(ValueError):
     """Characters or weights attached to incompatible algebras."""
 
 
-@dataclass(frozen=True)
+@record
 class SemisimpleAlgebra:
     """An ordered product of simple types."""
 
@@ -72,7 +72,7 @@ class SemisimpleAlgebra:
         return cls(tuple(SimpleType.parse(p) for p in parts))
 
 
-@dataclass(frozen=True)
+@record
 class HighestWeight:
     """Dominant integral coordinates, one tuple per simple factor."""
 
@@ -94,7 +94,7 @@ class HighestWeight:
         return ";".join(",".join(str(c) for c in f) for f in self.by_factor)
 
 
-@dataclass(frozen=True)
+@record
 class FormalCharacter:
     """A finite weight multiset over a fixed algebra."""
 
@@ -291,7 +291,7 @@ def dual_highest_weight(alg: SemisimpleAlgebra, hw: HighestWeight) -> HighestWei
 # The catalog of multiplicity-free irreducibles.
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     stype: SimpleType
     hw: Coords

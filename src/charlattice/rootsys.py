@@ -22,11 +22,11 @@ matching their Cartan integers against `_cartan`'s matrices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
+from ._record import record
 
 Coords = tuple[int, ...]
 
@@ -52,7 +52,7 @@ _RANK_BOUNDS = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class SimpleType:
     """One simple Cartan type, e.g. A3 or E8."""
 
@@ -78,7 +78,7 @@ class SimpleType:
         return cls(text[0].upper(), int(text[1:]))
 
 
-@dataclass(frozen=True)
+@record
 class RootSystem:
     """The integer root datum of one simple type.
 
@@ -263,7 +263,7 @@ def dominant_representative(rs: RootSystem, w: Coords) -> Coords:
 # Equal-rank subsystems by iterated extended-diagram node deletion.
 
 
-@dataclass(frozen=True)
+@record
 class Subsystem:
     """A full-rank root subsystem, recorded by an ordered simple system.
 
@@ -467,7 +467,7 @@ def type_a_equal_rank(rs: RootSystem) -> Subsystem:
 # Diagram automorphisms acting on fundamental coordinates.
 
 
-@dataclass(frozen=True)
+@record
 class LatticeInvolution:
     """An integer weight-lattice map squaring to the identity."""
 

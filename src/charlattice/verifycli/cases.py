@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .._record import record
 from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
                           factorizations, multiset_product)
 from ..charmatch import (alt_power_stats, conjugation_sums, fixed_point_exists,
@@ -49,7 +49,7 @@ def fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     claim: str
     computed: str
@@ -67,7 +67,7 @@ class Step:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CaseReport:
     case_id: str
     inputs: tuple[tuple[str, str], ...]
@@ -570,7 +570,7 @@ def _note_for(label: str) -> str:
     return "catalog entry"
 
 
-@dataclass(frozen=True)
+@record
 class AllowedPair:
     stype: SimpleType
     hw: Coords
@@ -579,7 +579,7 @@ class AllowedPair:
     note: str
 
 
-@dataclass(frozen=True)
+@record
 class AllowedPairsReport:
     n: int
     gate_reasons: tuple[str, ...]

@@ -19,8 +19,7 @@ emitted file and emitting again reproduces it byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._record import record
 from ..reps import FormalCharacter, SemisimpleAlgebra
 from ..rootsys import LatticeInvolution
 
@@ -29,7 +28,7 @@ class CharFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CharacterFile:
     character: FormalCharacter
     involution: LatticeInvolution | None = None

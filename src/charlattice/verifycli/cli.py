@@ -9,6 +9,7 @@ JSON document with sorted keys and no timestamps, so output is byte-stable.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -353,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # A command-line process keeps its modules until it exits: move them
+        # out of the collector's reach, so that no collection during the
+        # command rescans the objects the imports created.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
