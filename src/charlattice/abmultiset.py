@@ -53,18 +53,9 @@ class AbGroup:
             raise ValueError(f"free part must have {self.free_rank} coordinates")
         return (torsion_part % self.torsion, tuple(free_part))
 
-    def zero(self) -> Elem:
-        return (0, tuple(0 for _ in range(self.free_rank)))
-
     def add(self, x: Elem, y: Elem) -> Elem:
         return ((x[0] + y[0]) % self.torsion,
                 tuple(a + b for a, b in zip(x[1], y[1])))
-
-    def neg(self, x: Elem) -> Elem:
-        return ((-x[0]) % self.torsion, tuple(-a for a in x[1]))
-
-    def sub(self, x: Elem, y: Elem) -> Elem:
-        return self.add(x, self.neg(y))
 
 
 @record
@@ -99,11 +90,6 @@ class GroupMultiset:
     def counts(self) -> dict[Elem, int]:
         return dict(self.elems)
 
-    def translate(self, shift: Elem) -> "GroupMultiset":
-        return GroupMultiset.from_counts(
-            self.group,
-            {self.group.add(e, shift): m for e, m in self.elems})
-
 
 def multiset_product(a: GroupMultiset, b: GroupMultiset) -> GroupMultiset:
     """Multiset of pairwise sums; sizes multiply."""
@@ -115,13 +101,6 @@ def multiset_product(a: GroupMultiset, b: GroupMultiset) -> GroupMultiset:
             s = a.group.add(x, y)
             counts[s] = counts.get(s, 0) + mx * my
     return GroupMultiset.from_counts(a.group, counts)
-
-
-def canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
-    """Translation-invariant canonical key: the least sorted translate with some
-    element at 0 (see `_canonical_codes`)."""
-    pk = _Packing(a.group, _radius(a.elems))
-    return pk.decode(_canonical_codes(pk, [(pk.pack(e), m) for e, m in a.elems]))
 
 
 @record
@@ -139,13 +118,6 @@ class Decomposition:
         for f in self.factors[1:]:
             out = multiset_product(out, f)
         return out
-
-    def key(self) -> tuple:
-        pk = _Packing(self.factors[0].group,
-                      max(_radius(f.elems) for f in self.factors))
-        key = _key([(f.size, _canonical_codes(pk, [(pk.pack(e), m) for e, m in f.elems]))
-                    for f in self.factors])
-        return tuple((size, tuple(pk.decode(form) for form in forms)) for size, forms in key)
 
 
 def _radius(items) -> int:

@@ -26,7 +26,7 @@ from . import linalg
 from ._record import record
 from .linalg import Mat
 from .reps import FormalCharacter
-from .rootsys import Coords, LatticeInvolution
+from .rootsys import Coords, LatticeInvolution, first_placement
 
 
 class DegenerateFormError(ValueError):
@@ -74,10 +74,9 @@ def _form_adjugate(fc: FormalCharacter) -> tuple[int, Mat]:
     fundamental coordinates; needs a faithful character."""
     _, det, adj = _induced_form(fc.weights, fc.algebra.rank)
     if len(adj) != fc.algebra.rank:
-        trivial = [
-            str(st) for st, block in zip(fc.algebra.factors, _factor_blocks(fc))
-            if not any(any(c for c in piece) for piece in block)
-        ]
+        split = [fc.algebra.split_coords(w) for w, _ in fc.weights]
+        trivial = [str(st) for i, st in enumerate(fc.algebra.factors)
+                   if not any(any(parts[i]) for parts in split)]
         detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
         raise DegenerateFormError(f"character of {fc.algebra} is not faithful{detail}")
     return det, adj
@@ -89,15 +88,6 @@ def char_inner_product(fc: FormalCharacter) -> Mat:
     faithful character."""
     det, adj = _form_adjugate(fc)
     return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
-
-
-def _factor_blocks(fc: FormalCharacter) -> list[list[Coords]]:
-    out = []
-    pos = 0
-    for st in fc.algebra.factors:
-        out.append([w[pos:pos + st.rank] for w, _ in fc.weights])
-        pos += st.rank
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +244,17 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
         targets.setdefault(data2.keys[j], []).append(j)
     candidates = [targets[data1.keys[i]] for i in order1]
 
-    placed: list[int] = []  # the targets of order1[0], order1[1], ...
-
-    def fits(p: int):
-        """Candidates for order1[p] with the sources' Gram entries against those placed."""
-        row1 = gram1[order1[p]]
-        for j in candidates[p]:
+    def fits(placed: list[int]):
+        """Targets for order1[len(placed)] with its Gram entries against those placed."""
+        row1 = gram1[order1[len(placed)]]
+        for j in candidates[len(placed)]:
             row2 = gram2[j]
             if j not in placed and all(row1[i] == row2[k] for i, k in zip(order1, placed)):
                 yield j
 
-    pending = []  # per position up to the next one, the candidates not yet tried
-    while len(placed) < len(d1):
-        if len(pending) == len(placed):
-            pending.append(fits(len(placed)))
-        j = next(pending[-1], None)
-        if j is not None:
-            placed.append(j)
-            continue
-        pending.pop()
-        if not placed:
-            return None
-        placed.pop()
-
+    placed = first_placement(len(d1), fits)
+    if placed is None:
+        return None
     scaled, den = _linear_witness(data1, [d2[j] for _, j in sorted(zip(order1, placed))])
     witness = CharIsomorphism(source=fc1, target=fc2, scaled=scaled, den=den)
     if not witness.validate():

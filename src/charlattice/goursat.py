@@ -84,10 +84,6 @@ class GoursatReport:
     specs_checked: int
     counterexamples: tuple[GoursatSpec, ...]
 
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
-
 
 def verify_goursat_lemma(factors) -> GoursatReport:
     """Check over every compatible partition that full rank forces full product.

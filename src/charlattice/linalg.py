@@ -10,25 +10,15 @@ from __future__ import annotations
 
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# `fractions` is imported only by the three functions that build Fractions,
+# `fractions` is imported only by the two functions that build Fractions,
 # so that root data and the Weyl dimension load without it.
 Vec = tuple["int | Fraction", ...]
 Mat = tuple[Vec, ...]
-
-
-def vec(entries: Iterable) -> Vec:
-    from fractions import Fraction
-
-    return tuple(Fraction(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def dot(x: Sequence, y: Sequence):

@@ -145,15 +145,6 @@ def direct_sum(*chars: FormalCharacter) -> FormalCharacter:
     return FormalCharacter.from_counts(alg, counts)
 
 
-def negate_character(fc: FormalCharacter) -> FormalCharacter:
-    return FormalCharacter.from_counts(
-        fc.algebra, {tuple(-c for c in w): m for w, m in fc.weights})
-
-
-def is_multiplicity_free(fc: FormalCharacter) -> bool:
-    return all(m == 1 for _, m in fc.weights)
-
-
 # ---------------------------------------------------------------------------
 # Dimensions and weight multisets.
 

@@ -299,30 +299,17 @@ def _gram(rs: RootSystem, roots) -> list[list[int]]:
     return [[sum(map(mul, w, y)) for y in roots] for w in weights]
 
 
-def _place(a, keys, std, std_keys) -> list[int] | None:
-    """The least placement k_0, k_1, ... of the indices of a with
-    a[k_p][k_q] = std[p][q] throughout, by depth-first search; None if none.
-
-    A position bonded to an earlier one draws its candidates from the
-    neighbours of the first such, so a chain is placed in quadratic time.
-    """
-    r = len(std)
-    anchors = [next((q for q in range(p) if std[q][p]), None) for p in range(r)]
-    placed: list[int] = []
-
-    def candidates(p: int):
-        pool = range(r) if anchors[p] is None else (
-            j for j in range(r) if a[placed[anchors[p]]][j])
-        for k in pool:
-            if (k not in placed and keys[k] == std_keys[p]
-                    and all(a[k][placed[q]] == std[p][q] and a[placed[q]][k] == std[q][p]
-                            for q in range(p))):
-                yield k
-
+def first_placement(size: int, candidates) -> list | None:
+    """The first list p_0, ..., p_(size-1) with each p_k drawn from the
+    iterator candidates(placed), placed = [p_0, ..., p_(k-1)], by an iterative
+    depth-first search in candidate order; None if there is none.  No
+    candidate is None, and `placed` is one list that holds just those p_j
+    whenever an iterator is advanced."""
+    placed: list = []
     pending = []  # per position up to the next one, the candidates not yet tried
-    while len(placed) < r:
+    while len(placed) < size:
         if len(pending) == len(placed):
-            pending.append(candidates(len(placed)))
+            pending.append(candidates(placed))
         k = next(pending[-1], None)
         if k is not None:
             placed.append(k)
@@ -332,6 +319,29 @@ def _place(a, keys, std, std_keys) -> list[int] | None:
             return None
         placed.pop()
     return placed
+
+
+def _place(a, keys, std, std_keys) -> list[int] | None:
+    """The least placement k_0, k_1, ... of the indices of a with
+    a[k_p][k_q] = std[p][q] throughout; None if none.
+
+    A position bonded to an earlier one draws its candidates from the
+    neighbours of the first such, so a chain is placed in quadratic time.
+    """
+    r = len(std)
+    anchors = [next((q for q in range(p) if std[q][p]), None) for p in range(r)]
+
+    def candidates(placed: list[int]):
+        p = len(placed)
+        pool = range(r) if anchors[p] is None else (
+            j for j in range(r) if a[placed[anchors[p]]][j])
+        for k in pool:
+            if (k not in placed and keys[k] == std_keys[p]
+                    and all(a[k][placed[q]] == std[p][q] and a[placed[q]][k] == std[q][p]
+                            for q in range(p))):
+                yield k
+
+    return first_placement(r, candidates)
 
 
 def _match_component(roots: list[Coords], gram) -> tuple[SimpleType, tuple[Coords, ...]]:
@@ -494,11 +504,7 @@ class LatticeInvolution:
 
     @classmethod
     def identity(cls, rank: int) -> "LatticeInvolution":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
-
-    @classmethod
-    def negation(cls, rank: int) -> "LatticeInvolution":
-        return cls(tuple(tuple(-1 if i == j else 0 for j in range(rank)) for i in range(rank)))
+        return cls(linalg.identity(rank))
 
     @classmethod
     def from_node_permutation(cls, perm: dict[int, int], rank: int) -> "LatticeInvolution":

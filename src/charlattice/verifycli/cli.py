@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -61,6 +60,8 @@ def _parse_hw(alg: SemisimpleAlgebra, text: str) -> tuple[int, ...]:
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "structured":
+        import json  # only here: a text-format query never loads it
+
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in text_lines:

@@ -4,7 +4,9 @@ This is the plain search that `charlattice.abmultiset.factorizations` must
 agree with exactly: it enumerates every sub-multiset of the product of the
 second factor's size, completes the first factor row by row, and keeps the
 first decomposition found in each class, keyed by canonical forms that try
-every translate.  The library never imports this module.
+every translate.  Its group arithmetic is its own tuple arithmetic, so it
+shares no computation with the library's search.  The library never imports
+this module.
 """
 
 from __future__ import annotations
@@ -12,11 +14,28 @@ from __future__ import annotations
 from charlattice.abmultiset import Decomposition, Elem, GroupMultiset
 
 
+def add(torsion: int, x: Elem, y: Elem) -> Elem:
+    return ((x[0] + y[0]) % torsion, tuple(a + b for a, b in zip(x[1], y[1])))
+
+
+def neg(torsion: int, x: Elem) -> Elem:
+    return ((-x[0]) % torsion, tuple(-a for a in x[1]))
+
+
+def sub(torsion: int, x: Elem, y: Elem) -> Elem:
+    return add(torsion, x, neg(torsion, y))
+
+
+def translate(a: GroupMultiset, shift: Elem) -> GroupMultiset:
+    return GroupMultiset(a.group, tuple(sorted((add(a.group.torsion, e, shift), m)
+                                               for e, m in a.elems)))
+
+
 def reference_canonical_form(a: GroupMultiset) -> tuple[tuple[Elem, int], ...]:
     """The least sorted translate of a with some element at 0."""
     best = None
     for e, _ in a.elems:
-        candidate = a.translate(a.group.neg(e)).elems
+        candidate = translate(a, neg(a.group.torsion, e)).elems
         if best is None or candidate < best:
             best = candidate
     return best if best is not None else ()
@@ -53,11 +72,12 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
     first factor are forced row by row.
     """
     group = c.group
-    zero = group.zero()
+    torsion = group.torsion
+    zero = (0, (0,) * group.free_rank)
     out = []
     for b_items in _sub_multisets(list(c.elems), b_size):
         b_counts = dict(b_items)
-        remaining = c.counts()
+        remaining = dict(c.elems)
         ok = True
         for e, m in b_items:
             if remaining.get(e, 0) < m:
@@ -84,11 +104,11 @@ def _binary_factorizations(c: GroupMultiset, a_size: int, b_size: int):
             gamma = min(rem)
             tried: set[Elem] = set()
             for beta, _ in b_items:
-                alpha = group.sub(gamma, beta)
+                alpha = sub(torsion, gamma, beta)
                 if alpha in tried:
                     continue
                 tried.add(alpha)
-                shifted = {group.add(alpha, e): m for e, m in b_items}
+                shifted = {add(torsion, alpha, e): m for e, m in b_items}
                 if any(rem.get(e, 0) < m for e, m in shifted.items()):
                     continue
                 nxt = dict(rem)

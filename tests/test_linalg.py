@@ -8,7 +8,7 @@ from charlattice import linalg
 
 
 def test_invert_roundtrip():
-    m = linalg.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    m = ((2, 1, 0), (1, 3, 1), (0, 1, 4))
     inv = linalg.invert(m)
     assert linalg.matmul(m, inv) == linalg.identity(3)
     assert linalg.matmul(inv, m) == linalg.identity(3)
@@ -16,24 +16,24 @@ def test_invert_roundtrip():
 
 def test_invert_singular_raises():
     with pytest.raises(ValueError):
-        linalg.invert(linalg.mat([[1, 2], [2, 4]]))
+        linalg.invert(((1, 2), (2, 4)))
 
 
 def test_rank():
-    assert linalg.rank([linalg.vec([1, 0]), linalg.vec([0, 1])]) == 2
-    assert linalg.rank([linalg.vec([1, 2]), linalg.vec([2, 4])]) == 1
+    assert linalg.rank([(1, 0), (0, 1)]) == 2
+    assert linalg.rank([(Fraction(1, 2), 1), (2, 4)]) == 1
     assert linalg.rank([]) == 0
 
 
 def test_solve_columns_exact():
-    cols = [linalg.vec([1, 0, 1]), linalg.vec([0, 1, 1])]
-    coeffs = linalg.solve_columns(cols, linalg.vec([2, 3, 5]))
+    cols = [(1, 0, 1), (0, 1, 1)]
+    coeffs = linalg.solve_columns(cols, (2, 3, 5))
     assert coeffs == (Fraction(2), Fraction(3))
-    assert linalg.solve_columns(cols, linalg.vec([1, 0, 0])) is None
+    assert linalg.solve_columns(cols, (1, 0, 0)) is None
 
 
 def test_extend_to_basis():
-    base = [linalg.vec([1, 1, 0])]
+    base = [(1, 1, 0)]
     full = linalg.extend_to_basis(base, 3)
     assert len(full) == 3
     assert linalg.rank(list(full)) == 3
@@ -41,7 +41,7 @@ def test_extend_to_basis():
 
 def test_extend_to_basis_rejects_dependent_family():
     with pytest.raises(ValueError):
-        linalg.extend_to_basis([linalg.vec([1, 2]), linalg.vec([2, 4])], 2)
+        linalg.extend_to_basis([(1, 2), (2, 4)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,9 @@ def greedy_by_rank(vectors):
 
 def extend_by_rank(vectors, dim):
     """Append each unit vector that raises the rank, until the family spans."""
-    basis = [linalg.vec(v) for v in vectors]
+    basis = list(vectors)
     for j in range(dim):
-        candidate = linalg.vec(int(i == j) for i in range(dim))
+        candidate = tuple(int(i == j) for i in range(dim))
         if linalg.rank(basis + [candidate]) > len(basis):
             basis.append(candidate)
         if len(basis) == dim:
@@ -81,7 +81,7 @@ def integer_families(draw):
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(dim)])
         else:
             rows.append(draw(st.lists(entries, min_size=dim, max_size=dim)))
-    return dim, [linalg.vec(r) for r in rows]
+    return dim, [tuple(r) for r in rows]
 
 
 @settings(max_examples=200, deadline=None)

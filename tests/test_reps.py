@@ -17,8 +17,7 @@ import pytest
 from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               HighestWeight, SemisimpleAlgebra, direct_sum,
                               dual_highest_weight, enumerate_irreps_up_to_dim,
-                              irreducible_character, is_multiplicity_free,
-                              multiplicity_free_catalog, negate_character,
+                              irreducible_character, multiplicity_free_catalog,
                               restrict_to_subsystem, trivial_character,
                               weight_multiset, weyl_dimension, _simple_weight_multiset)
 from charlattice.rootsys import (SimpleType, build_root_system, reflect_coords,
@@ -35,6 +34,12 @@ def algebra(name: str) -> SemisimpleAlgebra:
 
 def char(name: str, hw) -> FormalCharacter:
     return irreducible_character(algebra(name), tuple(hw))
+
+
+def negate_character(fc: FormalCharacter) -> FormalCharacter:
+    """fc with every weight negated: the character of the dual."""
+    return FormalCharacter.from_counts(
+        fc.algebra, {tuple(-c for c in w): m for w, m in fc.weights})
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +125,21 @@ def test_g2_adjoint_and_short_fundamental():
     v7 = char("G2", (1, 0))
     assert v7.size == 7
     assert v7.multiplicity((0, 0)) == 1
-    assert is_multiplicity_free(v7)
-    assert not is_multiplicity_free(adj)
+    assert all(m == 1 for _, m in v7.weights)
+    assert not all(m == 1 for _, m in adj.weights)
 
 
 def test_b3_spin_multiset():
     fc = char("B3", (0, 0, 1))
     assert fc.size == 8
-    assert is_multiplicity_free(fc)
+    assert all(m == 1 for _, m in fc.weights)
     assert fc == negate_character(fc)
 
 
 def test_c3_primitive_fundamental():
     fc = char("C3", (0, 0, 1))
     assert fc.size == 14
-    assert is_multiplicity_free(fc)
+    assert all(m == 1 for _, m in fc.weights)
     assert fc.multiplicity((0, 0, 0)) == 0
 
 
@@ -297,7 +302,7 @@ def test_catalog_entries_expand_multiplicity_free():
         alg = SemisimpleAlgebra((st,))
         for entry in multiplicity_free_catalog(st, max_dim=60):
             fc = irreducible_character(alg, entry.hw)
-            assert is_multiplicity_free(fc), (name, entry)
+            assert all(m == 1 for _, m in fc.weights), (name, entry)
 
 
 def test_enumerate_irreps_frozen_a2():
