@@ -87,9 +87,6 @@ class GroupMultiset:
     def size(self) -> int:
         return sum(m for _, m in self.elems)
 
-    def counts(self) -> dict[Elem, int]:
-        return dict(self.elems)
-
 
 def multiset_product(a: GroupMultiset, b: GroupMultiset) -> GroupMultiset:
     """Multiset of pairwise sums; sizes multiply."""

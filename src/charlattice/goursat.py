@@ -94,6 +94,8 @@ def verify_goursat_lemma(factors) -> GoursatReport:
     the given factor list.
     """
     fac = tuple(factors)
+    if not fac:
+        raise GoursatError("the factor list is empty")
     if len(fac) > MAX_FACTORS:
         raise TooManyFactorsError(
             f"{len(fac)} factors exceed the exhaustive bound {MAX_FACTORS}")

@@ -282,11 +282,6 @@ class Subsystem:
     def signature(self) -> tuple[SimpleType, ...]:
         return tuple(sorted(self.component_types))
 
-    def component_root_blocks(self) -> tuple[tuple[Coords, ...], ...]:
-        ends = itertools.accumulate(ct.rank for ct in self.component_types)
-        return tuple(self.selected_roots[end - ct.rank:end]
-                     for ct, end in zip(self.component_types, ends))
-
 
 class ClassificationError(ValueError):
     """A set of roots that is not a valid simple system of known type."""
@@ -405,16 +400,6 @@ def classify_simple_system(
     return tuple(sorted(components))
 
 
-def _make_subsystem(rs: RootSystem, roots: tuple[Coords, ...]) -> Subsystem:
-    comps = classify_simple_system(rs, roots)
-    selected = tuple(itertools.chain.from_iterable(ordered for _, ordered in comps))
-    return Subsystem(
-        parent=rs.stype,
-        selected_roots=selected,
-        component_types=tuple(st for st, _ in comps),
-    )
-
-
 def _highest_root(rs: RootSystem, ctype: SimpleType, component: tuple[Coords, ...]) -> Coords:
     """Highest root of the subsystem generated by one component's simple roots,
     which are in the standard numbering of their type ctype."""
@@ -428,32 +413,35 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
 
     From each subsystem, each component is extended by the negative of its
     highest root and a single node is deleted; the process repeats until no new
-    subsystem appears.  Each candidate is classified by matching its components
-    against `_cartan`; a full match makes every component's Gram matrix a
-    positive multiple of a finite-type symmetrized Cartan matrix, so the rank
-    roots kept are independent and the subsystem has full rank.  Subsystems are
-    deduplicated by their sorted Cartan-type signature, which identifies
-    Weyl-conjugate results at the granularity the downstream arguments need.
+    subsystem appears.  Only the changed block is classified: the other
+    components are orthogonal to it and to its highest root, so a candidate
+    keeps the typed components it shares with its parent subsystem.  A full
+    match makes every component's Gram matrix a positive multiple of a
+    finite-type symmetrized Cartan matrix, so the rank roots kept are
+    independent and the subsystem has full rank.  Subsystems are deduplicated
+    by their sorted Cartan-type signature, which identifies Weyl-conjugate
+    results at the granularity the downstream arguments need.
     """
-    start = _make_subsystem(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
-                                      for i in range(rs.rank)))
-    seen = {start.signature}
+    start = classify_simple_system(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
+                                             for i in range(rs.rank)))
+    seen = {tuple(st for st, _ in start): start}
     queue = [start]
-    out = [start]
     while queue:
-        sub = queue.pop()
-        blocks = sub.component_root_blocks()
-        for b, (ctype, block) in enumerate(zip(sub.component_types, blocks)):
+        comps = queue.pop()
+        for b, (ctype, block) in enumerate(comps):
+            kept = comps[:b] + comps[b + 1:]
             extended = block + (tuple(-c for c in _highest_root(rs, ctype, block)),)
-            others = tuple(itertools.chain.from_iterable(
-                blk for c, blk in enumerate(blocks) if c != b
-            ))
             for skip in range(len(extended)):
-                candidate = _make_subsystem(rs, others + extended[:skip] + extended[skip + 1:])
-                if candidate.signature not in seen:
-                    seen.add(candidate.signature)
-                    out.append(candidate)
+                candidate = tuple(sorted(kept + classify_simple_system(
+                    rs, extended[:skip] + extended[skip + 1:])))
+                signature = tuple(st for st, _ in candidate)
+                if signature not in seen:
+                    seen[signature] = candidate
                     queue.append(candidate)
+    out = [Subsystem(parent=rs.stype,
+                     selected_roots=tuple(itertools.chain.from_iterable(r for _, r in comps)),
+                     component_types=tuple(st for st, _ in comps))
+           for comps in seen.values()]
     out.sort(key=lambda s: (len(s.component_types), s.signature, s.selected_roots))
     return tuple(out)
 

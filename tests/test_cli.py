@@ -282,6 +282,19 @@ def test_verify_rejects_a_parameter_given_twice(capsys):
     assert code == 2 and "parameter m given twice" in err
 
 
+@pytest.mark.parametrize("factors", ["factors=", "factors=+"])
+def test_verify_goursat_refuses_no_factors(capsys, factors):
+    code, out, err = run(capsys, "verify", "goursat", "-p", factors)
+    assert (code, out, err) == (2, "", "error: the factor list is empty\n")
+
+
+def test_verify_sl2k_selfdual_refuses_k_above_cap(capsys):
+    code, out, _ = run(capsys, "verify", "sl2k-selfdual", "-p", "k=10000")
+    assert code == 0 and "verdict: pass" in out
+    code, out, err = run(capsys, "verify", "sl2k-selfdual", "-p", "k=10001")
+    assert (code, out, err) == (2, "", "error: k above 10000 exceeds the documented range\n")
+
+
 def test_verify_param_type_errors(capsys):
     code, _, err = run(capsys, "verify", "sl2k-selfdual", "-p", "k=x")
     assert code == 2

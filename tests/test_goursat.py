@@ -8,6 +8,7 @@ from charlattice.goursat import (MAX_FACTORS, GoursatError, GoursatSpec,
                                  TooManyFactorsError, goursat_rank,
                                  verify_goursat_lemma)
 from charlattice.rootsys import SimpleType
+from charlattice.verifycli.cases import run_case
 
 
 def types(*names):
@@ -76,6 +77,14 @@ def test_factor_count_cap():
     fac = types(*["A1"] * (MAX_FACTORS + 1))
     with pytest.raises(TooManyFactorsError):
         verify_goursat_lemma(fac)
+
+
+@pytest.mark.parametrize("factors", ["", "+", " , "])
+def test_empty_factor_list_is_refused(factors):
+    # An empty product has one partition, the empty one, and would pass
+    # vacuously.
+    with pytest.raises(GoursatError, match="the factor list is empty"):
+        run_case("goursat", {"factors": factors})
 
 
 def test_exhaustive_small_universe():

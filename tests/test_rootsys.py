@@ -1,5 +1,6 @@
 """Root system construction against the frozen classical tables."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
 from ambient_oracle import pairing as ambient_pairing
+from charlattice import rootsys
 from charlattice.reps import HighestWeight, SemisimpleAlgebra, weyl_dimension
 from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, ClassificationError,
                                  LatticeInvolution, SimpleType, build_root_system,
@@ -193,6 +195,13 @@ def test_classification_ignores_root_order(name, data):
     assert classify_simple_system(rs, shuffled) == expected
 
 
+def _typed_blocks(sub):
+    """(type, roots) per component: selected_roots cut at the component ranks."""
+    ends = itertools.accumulate(ct.rank for ct in sub.component_types)
+    return tuple((ct, sub.selected_roots[end - ct.rank:end])
+                 for ct, end in zip(sub.component_types, ends))
+
+
 @pytest.mark.parametrize("name", ["B5", "E7"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -201,8 +210,7 @@ def test_subsystem_classification_ignores_root_order(name, data):
     subs = equal_rank_subsystems(rs)
     sub = subs[data.draw(st.integers(0, len(subs) - 1))]
     shuffled = tuple(data.draw(st.permutations(sub.selected_roots)))
-    assert classify_simple_system(rs, shuffled) == tuple(
-        zip(sub.component_types, sub.component_root_blocks()))
+    assert classify_simple_system(rs, shuffled) == _typed_blocks(sub)
 
 
 @pytest.mark.parametrize("name", RANK8_TYPES)
@@ -229,7 +237,7 @@ def test_components_take_least_standard_order(name):
     st_ = SimpleType.parse(name)
     amb = ambient_root_system(st_)
     for sub in equal_rank_subsystems(build_root_system(st_)):
-        for ctype, block in zip(sub.component_types, sub.component_root_blocks()):
+        for ctype, block in _typed_blocks(sub):
             if ctype.rank > 6:
                 continue
             standard = ambient_root_system(ctype).cartan_matrix
@@ -252,6 +260,37 @@ def test_type_a_equal_rank_roots_pinned(name):
     sub = type_a_equal_rank(build_root_system(SimpleType.parse(name)))
     assert [str(t) for t in sub.component_types] == TYPE_A_PINS[name]["component_types"]
     assert [list(r) for r in sub.selected_roots] == TYPE_A_PINS[name]["selected_roots"]
+
+
+SUBSYSTEM_DIGESTS = json.loads((Path(__file__).parent / "golden" / "equal_rank_subsystems.json")
+                               .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(SUBSYSTEM_DIGESTS))
+def test_equal_rank_subsystems_pinned(name):
+    """SHA-256 of the canonical JSON of every subsystem's types and roots,
+    written when every candidate was classified whole."""
+    subs = equal_rank_subsystems(build_root_system(SimpleType.parse(name)))
+    doc = [[[str(t) for t in s.component_types], [list(r) for r in s.selected_roots]]
+           for s in subs]
+    text = json.dumps(doc, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUBSYSTEM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,calls", [("E8", 206), ("B10", 799)])
+def test_subsystem_search_types_only_the_changed_block(monkeypatch, name, calls):
+    # Classifying each candidate whole, kept components included, made 546
+    # and 2,711 component matches; the counts are deterministic.
+    match = rootsys._match_component
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(rootsys, "_match_component", counted)
+    equal_rank_subsystems(build_root_system(SimpleType.parse(name)))
+    assert len(made) == calls
 
 
 def test_weyl_orbit_and_dominant_representative():
@@ -302,7 +341,7 @@ def test_subsystem_blocks_have_standard_cartan_matrices(name):
     st = SimpleType.parse(name)
     amb = ambient_root_system(st)
     for sub in equal_rank_subsystems(build_root_system(st)):
-        for ctype, block in zip(sub.component_types, sub.component_root_blocks()):
+        for ctype, block in _typed_blocks(sub):
             vectors = [_ambient(amb, beta) for beta in block]
             cartan = tuple(tuple(int(ambient_pairing(x, y)) for y in vectors)
                            for x in vectors)
