@@ -4,14 +4,15 @@ A weight multiset induces a symmetric form on the dual of its span (sum of
 squares of weight evaluations); its dual form is the inner product the
 matching arguments use.  Any linear bijection carrying one weight multiset
 onto another is an isometry for the two induced forms.  Conversely, each form
-is positive definite on its span, so equal Gram matrices mean equal linear
-relations, and a Gram-compatible bijection of distinct weights extends to a
-linear map: the iterative matching search stops at the first one.
+is positive definite on its span, so once a basis of weights is placed
+with matching Gram entries, the image of every other weight is forced: the
+iterative matching search stops at the first complete placement.
 
 The search, the induced norms and the witnesses run in integers: a form M^-1
-is carried as det(M) and adj(M) = det(M) M^-1, a Gram matrix as integers over
-its least common denominator, and Fractions are built only for values that
-leave the module (witness matrices, norm2, char_inner_product).
+is carried as det(M) and adj(M) = det(M) M^-1, a Gram entry or norm as an
+integer over det(M), compared across two characters by cross-multiplying,
+and Fractions are built only for values that leave the module (witness
+matrices, norm2, char_inner_product).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from operator import neg
 
 from . import linalg
@@ -146,9 +146,9 @@ def _invariants(weights) -> tuple[int, tuple[tuple[int, int], ...]]:
 class _MatchData:
     """What the matching search reads of one character, computed once: the
     distinct weights, their multiplicities and the invariants, and on first
-    use the span data and the witness basis.  It keeps the weights, not the
-    character, so its entry in the weak-keyed memo, Gram matrix included,
-    goes with the character."""
+    use the induced form's data and the search basis.  It keeps the weights,
+    not the character, so its entry in the weak-keyed memo goes with the
+    character."""
 
     def __init__(self, fc: FormalCharacter) -> None:
         self.weights = fc.weights
@@ -158,49 +158,40 @@ class _MatchData:
         self.invariants = _invariants(fc.weights)
 
     @cached_property
-    def span_data(self) -> tuple[int, int, Mat]:
-        """Rank of the weights' span, and the Gram matrix C M^-1 C^T, which
-        does not depend on the span basis, in lowest terms: a least common
-        denominator den > 0 and the integers den C M^-1 C^T.  So two
-        characters' Gram entries are equal rationals exactly when their dens
-        and integers are equal."""
+    def form(self) -> tuple[int, int, list[Coords], Mat, list[int]]:
+        """Rank of the weights' span, det(M) > 0, the span coordinates C of the
+        distinct weights, the rows of C adj(M) and the integer norms
+        c adj(M) c.  The Gram entry of weights i and k is the dot of row i of
+        C adj(M) with row k of C, over det(M); no n x n matrix is built."""
         coords, det, adj = _induced_form(self.weights, self.rank)
         left = linalg.matmul(coords, adj)
-        # Rows of C adj(M) against rows of C; a rank-0 span gives an n x n zero matrix.
-        gram = [[linalg.dot(x, c) for c in coords] for x in left]
-        g = det
-        for row in gram:
-            g = gcd(g, *row)
-        return len(adj), det // g, tuple(tuple(x // g for x in row) for row in gram)
-
-    @cached_property
-    def keys(self) -> list[tuple]:
-        """Per weight: multiplicity, norm and the sorted (Gram entry,
-        multiplicity) row."""
-        gram, mults = self.span_data[2], self.mults
-        return [(m, row[i], tuple(sorted(zip(row, mults))))
-                for i, (row, m) in enumerate(zip(gram, mults))]
+        return len(adj), det, coords, left, [linalg.dot(x, c) for x, c in zip(left, coords)]
 
     @cached_property
     def order(self) -> list[int]:
         """The distinct weights' indices in (norm, weight) order."""
-        gram, distinct = self.span_data[2], self.distinct
-        return sorted(range(len(distinct)), key=lambda i: (gram[i][i], distinct[i]))
+        norms, distinct = self.form[4], self.distinct
+        return sorted(range(len(distinct)), key=lambda i: (norms[i], distinct[i]))
 
     @cached_property
-    def basis(self) -> tuple[list[int], int, Mat]:
-        """The indices of the first independent distinct weights, and det(B) > 0
-        and adj(B) for the columns B of those weights, completed with unit
-        vectors to a basis."""
-        picked = linalg.pivot_columns(linalg.transpose(self.distinct))
-        full = linalg.extend_to_basis([self.distinct[k] for k in picked], self.rank)
+    def basis(self) -> tuple[list[int], int, Mat, dict[int, Coords]]:
+        """The positions of `order` whose weight is independent of the weights
+        before it; det(B) > 0 and adj(B) for the columns B of those weights,
+        completed with unit vectors to a basis; and at every other position,
+        the integer coefficients a = adj(B) w of its weight over the basis
+        positions before it, so w = sum a_k B_k / det(B)."""
+        ws = [self.distinct[i] for i in self.order]
+        picked = linalg.pivot_columns(linalg.transpose(ws))
+        full = linalg.extend_to_basis([ws[p] for p in picked], self.rank)
         det, adj = linalg.det_adjugate(linalg.transpose(full))
         if det < 0:
             det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
-        return picked, det, adj
+        coeffs = {p: linalg.matvec(adj[:sum(k < p for k in picked)], w)
+                  for p, w in enumerate(ws) if p not in picked}
+        return picked, det, adj, coeffs
 
 
-# Weak keys: an entry, Gram matrix included, goes with its character.
+# Weak keys: an entry goes with its character.
 _MATCH_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -216,62 +207,68 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
 
     Returns a CharIsomorphism witness or None.  Characters that differ in
     size, rank, number of distinct weights, zero-weight multiplicity or the
-    (m(w), m(-w)) pair list are rejected before any Gram data is built; each
+    (m(w), m(-w)) pair list are rejected before any form data is built; each
     character's match data is computed once and kept while it lives.
-    Distinct weights are paired by an iterative depth-first search on
-    multiplicity and induced-form Gram data.  Each induced form is positive
-    definite on its span, so a Gram-compatible bijection keeps every linear
-    relation and extends to a linear map: the search stops at the first one,
-    and None proves that no witness exists.
+    Distinct source weights are placed in (norm, weight) order by an
+    iterative depth-first search.  A weight independent of those before it is
+    a basis weight: its candidates are the targets of its multiplicity and
+    norm whose Gram entries against the basis targets placed so far are its
+    own.  Each induced form is positive definite on its span, so the placed
+    basis fixes a linear isometry T, and any other weight w can only go to
+    T(w).  The first complete placement gives the witness T, and None proves
+    that no witness exists.
     """
-    if fc1.size != fc2.size:
-        return None
-    if fc1.algebra.rank != fc2.algebra.rank:
+    if fc1.size != fc2.size or fc1.algebra.rank != fc2.algebra.rank:
         return None
     data1, data2 = _match_data(fc1), _match_data(fc2)
     d1, d2 = data1.distinct, data2.distinct
     if len(d1) != len(d2) or data1.invariants != data2.invariants:
         return None
-    span1, den1, gram1 = data1.span_data
-    span2, den2, gram2 = data2.span_data
-    if span1 != span2 or den1 != den2 or sorted(data1.keys) != sorted(data2.keys):
+    span1, det1, coords1, left1, norms1 = data1.form
+    span2, det2, coords2, left2, norms2 = data2.form
+    # Norms and Gram entries are integers over each side's det(M): compare
+    # them across the sides by cross-multiplying.
+    keys1 = [(m, x * det2) for m, x in zip(data1.mults, norms1)]
+    keys2 = [(m, x * det1) for m, x in zip(data2.mults, norms2)]
+    if span1 != span2 or sorted(keys1) != sorted(keys2):
         return None
 
-    # Source weights in (norm, lex) order; target candidates share that order.
     order1 = data1.order
+    picked, det, adj, coeffs = data1.basis
     targets: dict[tuple, list[int]] = {}
     for j in data2.order:
-        targets.setdefault(data2.keys[j], []).append(j)
-    candidates = [targets[data1.keys[i]] for i in order1]
+        targets.setdefault(keys2[j], []).append(j)
+    index2 = {w: j for j, w in enumerate(d2)}
 
     def fits(placed: list[int]):
-        """Targets for order1[len(placed)] with its Gram entries against those placed."""
-        row1 = gram1[order1[len(placed)]]
-        for j in candidates[len(placed)]:
-            row2 = gram2[j]
-            if j not in placed and all(row1[i] == row2[k] for i, k in zip(order1, placed)):
-                yield j
+        """Targets for the source weight at position p = len(placed)."""
+        p = len(placed)
+        i = order1[p]
+        a = coeffs.get(p)
+        if a is None:  # a basis position
+            prior = picked[:picked.index(p)]
+            want = [linalg.dot(left1[i], coords1[order1[k]]) * det2 for k in prior]
+            yield from (j for j in targets.get(keys1[i], ()) if j not in placed and all(
+                linalg.dot(left2[j], coords2[placed[k]]) * det1 == g for k, g in zip(prior, want)))
+            return
+        # The forced image T(w); only the zero weight precedes every basis weight.
+        cols = list(zip(*(d2[placed[k]] for k in picked[:len(a)]))) or [()] * data1.rank
+        sums = [linalg.dot(a, col) for col in cols]
+        if any(x % det for x in sums):
+            return
+        j = index2.get(tuple(x // det for x in sums))
+        if j is not None and data2.mults[j] == data1.mults[i]:
+            yield j
 
     placed = first_placement(len(d1), fits)
     if placed is None:
         return None
-    scaled, den = _linear_witness(data1, [d2[j] for _, j in sorted(zip(order1, placed))])
-    witness = CharIsomorphism(source=fc1, target=fc2, scaled=scaled, den=den)
+    full = linalg.extend_to_basis([d2[placed[p]] for p in picked], data1.rank)
+    witness = CharIsomorphism(source=fc1, target=fc2,
+                              scaled=linalg.matmul(linalg.transpose(full), adj), den=det)
     if not witness.validate():
         raise AssertionError("a Gram-compatible bijection did not extend to a witness")
     return witness
-
-
-def _linear_witness(source: _MatchData, targets) -> tuple[Mat, int]:
-    """(N, den > 0) with N / den carrying each distinct source weight to its
-    target, which a Gram-compatible bijection guarantees: T adj(B) / det(B)
-    for the source basis B and the targets T of its weights, completed with
-    the same unit vectors."""
-    picked, det, adj = source.basis
-    full_tgt = linalg.extend_to_basis([targets[k] for k in picked], source.rank)
-    return linalg.matmul(linalg.transpose(full_tgt), adj), det
-
-
 
 
 # ---------------------------------------------------------------------------

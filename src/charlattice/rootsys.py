@@ -40,6 +40,11 @@ class CartanTypeError(ValueError):
 # three times as much as A200; SimpleType itself stays unbounded.
 MAX_ROOT_DATUM_RANK = 300
 
+# equal_rank_subsystems refuses a higher rank.  B20 and C20 (627 subsystems
+# each) take about 4 s in process on a 2-core host and B24 16 s; every family
+# grows without bound (A100 takes 5 s).
+MAX_SUBSYSTEM_RANK = 20
+
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -421,7 +426,12 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
     independent and the subsystem has full rank.  Subsystems are deduplicated
     by their sorted Cartan-type signature, which identifies Weyl-conjugate
     results at the granularity the downstream arguments need.
+
+    A root system of rank above MAX_SUBSYSTEM_RANK = 20 raises CartanTypeError.
     """
+    if rs.rank > MAX_SUBSYSTEM_RANK:
+        raise CartanTypeError(
+            f"rank {rs.rank} of {rs.stype} exceeds the subsystem-search limit {MAX_SUBSYSTEM_RANK}")
     start = classify_simple_system(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
                                              for i in range(rs.rank)))
     seen = {tuple(st for st, _ in start): start}

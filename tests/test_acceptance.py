@@ -7,7 +7,9 @@ exact; the budgets are wall-clock ceilings, not targets.
 import itertools
 import random
 import time
+import weakref
 
+from charlattice import charmatch
 from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset,
                                     factorization_count_bound, factorizations,
                                     multiset_product)
@@ -87,6 +89,18 @@ def test_criterion_04_g2_triple_coincidence_witness():
     assert witness is not None
     assert witness.validate()
     assert time.monotonic() - start < 5
+
+
+def test_criterion_04b_large_characters_match_their_negations(monkeypatch):
+    # Fresh match data, so each budget covers the whole search and its witness.
+    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
+    for name, hw, budget in [("E8", (1, 0, 0, 0, 0, 0, 0, 0), 1.0), ("A1", (1200,), 0.2)]:
+        fc = irreducible_character(SemisimpleAlgebra.parse(name), hw)
+        dual = negate_character(fc)
+        start = time.monotonic()
+        witness = same_formal_character(fc, dual)
+        assert time.monotonic() - start < budget, name
+        assert witness is not None and witness.validate()
 
 
 def test_criterion_05_even_rank_selfdual_contradiction():

@@ -152,6 +152,8 @@ def golden_witness_pairs():
     yield "A4 std vs its negation", a4, negate_character(a4)
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
     yield "E7 w7 vs its negation", e7, negate_character(e7)
+    e8 = char("E8", (1, 0, 0, 0, 0, 0, 0, 0))
+    yield "E8 w1 vs its negation", e8, negate_character(e8)
     # the span has rank 1, so both sides are completed by unit vectors
     yield "A1+A1 (1,0) vs (0,1)", char("A1+A1", (1, 0)), char("A1+A1", (0, 1))
     sym2 = [w[0] for w, _ in char("A1", (2,)).weights]
@@ -174,9 +176,10 @@ def test_match_witnesses_golden():
 
 def test_search_and_norms_stay_in_integers(monkeypatch):
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
-    rank, den, span_gram = charmatch._match_data(e7).span_data
-    assert rank == 7 and type(den) is int and den > 0
-    assert all(type(g) is int for row in span_gram for g in row)
+    span, det, coords, left, norms = charmatch._match_data(e7).form
+    assert span == 7 and type(det) is int and det > 0
+    assert all(type(x) is int for rows in (coords, left) for row in rows for x in row)
+    assert all(type(x) is int and x > 0 for x in norms)
     # every dot product of the search, the witness check and the norms is an int
     plain_dot = linalg.dot
 
@@ -199,6 +202,27 @@ def test_search_and_norms_stay_in_integers(monkeypatch):
     monkeypatch.undo()
     want = json.loads((GOLDEN / "samechar_witnesses.json").read_text(encoding="utf-8"))
     assert [[str(c) for c in row] for row in witness.matrix] == want["E7 w7 vs its negation"]
+
+
+@pytest.mark.parametrize("name,hw,dots", [
+    ("E6", (1, 0, 0, 0, 0, 1), 8561),  # 343 distinct weights of rank 6
+    ("A1", (1200,), 6003),  # 1201 distinct weights of rank 1
+])
+def test_match_work_is_linear_in_the_distinct_weights(monkeypatch, name, hw, dots):
+    """The dot products of a match against the negation, witness check
+    included: O(n r) for n distinct weights of rank r, no n x n matrix."""
+    fc = char(name, hw)
+    dual = negate_character(fc)
+    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
+    plain_dot, calls = linalg.dot, []
+
+    def counted_dot(x, y):
+        calls.append(1)
+        return plain_dot(x, y)
+
+    monkeypatch.setattr(linalg, "dot", counted_dot)
+    witness = same_formal_character(fc, dual)
+    assert witness is not None and len(calls) == dots
 
 
 def _stack_depth() -> int:

@@ -186,6 +186,15 @@ def test_subsystems_golden(capsys, name):
         assert out == SUBSYSTEMS_GOLDEN[name][fmt]
 
 
+def test_subsystems_refuses_rank_above_cap(capsys):
+    code, out, _ = run(capsys, "subsystems", "A20")
+    assert (code, out) == (0, "A20\n")
+    for name in ("A21", "B21"):
+        code, out, err = run(capsys, "subsystems", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {name[1:]} of {name} exceeds the subsystem-search limit 20\n"
+
+
 def test_allowed_pairs_27(capsys):
     code, out, _ = run(capsys, "allowed-pairs", "27")
     assert code == 0
@@ -293,6 +302,13 @@ def test_verify_sl2k_selfdual_refuses_k_above_cap(capsys):
     assert code == 0 and "verdict: pass" in out
     code, out, err = run(capsys, "verify", "sl2k-selfdual", "-p", "k=10001")
     assert (code, out, err) == (2, "", "error: k above 10000 exceeds the documented range\n")
+
+
+def test_verify_sym_power_rigidity_refuses_n_above_cap(capsys):
+    code, out, _ = run(capsys, "verify", "sym-power-rigidity", "-p", "n=40", "-p", "a=1")
+    assert code == 0 and "verdict: pass" in out
+    code, out, err = run(capsys, "verify", "sym-power-rigidity", "-p", "n=41", "-p", "a=1")
+    assert (code, out, err) == (2, "", "error: n above 40 exceeds the documented range\n")
 
 
 def test_verify_param_type_errors(capsys):
