@@ -413,8 +413,9 @@ def _highest_root(rs: RootSystem, ctype: SimpleType, component: tuple[Coords, ..
         sum(c * beta[k] for c, beta in zip(top, component)) for k in range(rs.rank))
 
 
-def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
-    """All full-rank subsystems reachable by iterated extended-diagram deletion.
+def equal_rank_subsystems(stype: SimpleType) -> tuple[Subsystem, ...]:
+    """All full-rank subsystems of stype reachable by iterated extended-diagram
+    deletion.
 
     From each subsystem, each component is extended by the negative of its
     highest root and a single node is deleted; the process repeats until no new
@@ -427,11 +428,13 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
     by their sorted Cartan-type signature, which identifies Weyl-conjugate
     results at the granularity the downstream arguments need.
 
-    A root system of rank above MAX_SUBSYSTEM_RANK = 20 raises CartanTypeError.
+    A type of rank above MAX_SUBSYSTEM_RANK = 20 raises CartanTypeError before
+    its root datum is built.
     """
-    if rs.rank > MAX_SUBSYSTEM_RANK:
+    if stype.rank > MAX_SUBSYSTEM_RANK:
         raise CartanTypeError(
-            f"rank {rs.rank} of {rs.stype} exceeds the subsystem-search limit {MAX_SUBSYSTEM_RANK}")
+            f"rank {stype.rank} of {stype} exceeds the subsystem-search limit {MAX_SUBSYSTEM_RANK}")
+    rs = build_root_system(stype)
     start = classify_simple_system(rs, tuple(tuple(int(i == j) for j in range(rs.rank))
                                              for i in range(rs.rank)))
     seen = {tuple(st for st, _ in start): start}
@@ -456,18 +459,18 @@ def equal_rank_subsystems(rs: RootSystem) -> tuple[Subsystem, ...]:
     return tuple(out)
 
 
-def type_a_equal_rank(rs: RootSystem) -> Subsystem:
+def type_a_equal_rank(stype: SimpleType) -> Subsystem:
     """A deterministic equal-rank subsystem with all components of type A.
 
     Candidates are ordered by (number of components, signature, roots) and the
     first is returned, so a single component wins over a finer splitting.
     """
     candidates = [
-        s for s in equal_rank_subsystems(rs)
+        s for s in equal_rank_subsystems(stype)
         if all(ct.family == "A" for ct in s.component_types)
     ]
     if not candidates:
-        raise AssertionError(f"no all-type-A equal-rank subsystem for {rs.stype}")
+        raise AssertionError(f"no all-type-A equal-rank subsystem for {stype}")
     return candidates[0]
 
 

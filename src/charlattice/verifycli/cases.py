@@ -2,16 +2,19 @@
 
 Each case replays one finite argument from the classification of matching
 formal characters: an exact computation with a frozen expected outcome, broken
-into steps so a failure points at the precise claim that broke.  run_case
-dispatches by case id; default_suite lists the cases that make up the full
-verification run.
+into steps so a failure points at the precise claim that broke.  _CASES
+declares each case's parameter domain; run_case checks it, runs the case and
+adds the case id and inputs to its steps.  default_suite lists the cases that
+make up the full verification run.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from .._record import record
 from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
@@ -38,10 +41,6 @@ def fmt(value) -> str:
     """Deterministic rendering of exact values for reports."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if isinstance(value, str):
-        return value
     if value is None:
         return "none"
     if isinstance(value, (tuple, list)):
@@ -88,6 +87,9 @@ class CaseReport:
         }
 
 
+Outcome = tuple[tuple[Step, ...], dict]
+
+
 class _Steps:
     """Collects steps; check() compares exact values, hold() takes a bool."""
 
@@ -101,32 +103,17 @@ class _Steps:
     def hold(self, claim: str, condition: bool, provenance: str) -> None:
         self.check(claim, bool(condition), True, provenance)
 
-    def done(self) -> tuple[Step, ...]:
-        return tuple(self.items)
-
-
-def _report(case_id: str, inputs: dict, steps: _Steps, notes: dict | None = None) -> CaseReport:
-    return CaseReport(
-        case_id=case_id,
-        inputs=tuple(sorted((k, fmt(v)) for k, v in inputs.items())),
-        steps=steps.done(),
-        notes=tuple(sorted((k, fmt(v)) for k, v in (notes or {}).items())),
-    )
+    def done(self, **notes) -> Outcome:
+        """The steps and the notes; run_case adds the case id and inputs."""
+        return tuple(self.items), notes
 
 
 # ---------------------------------------------------------------------------
 # Type A self-dual exclusions.
 
-def case_sl2k_selfdual(k: int = 5) -> CaseReport:
+def case_sl2k_selfdual(k: int) -> Outcome:
     """No pair of alternating powers of sl_2k reproduces the inner-product
-    ratio of the middle alternating power, for integer degree below k.
-
-    k above 10000 raises CaseError: the sweeps are linear in k (0.21 s in
-    process at k = 10000 on a 2-core host, 1.1 s at 50000)."""
-    if k < 5:
-        raise CaseError("k must be at least 5")
-    if k > 10000:
-        raise CaseError("k above 10000 exceeds the documented range")
+    ratio of the middle alternating power, for integer degree below k."""
     st = _Steps()
     stats = alt_power_stats(2 * k - 1, k)
     st.check("all middle-alternating-power weights share squared norm k/2",
@@ -165,10 +152,10 @@ def case_sl2k_selfdual(k: int = 5) -> CaseReport:
     st.check("no degree a < k matches the ratio through either branch",
              bad_pairs, [],
              "exhaustive check over both inner-product branches")
-    return _report("sl2k-selfdual", {"k": k}, st)
+    return st.done()
 
 
-def case_sl2k_selfdual_exclusions() -> CaseReport:
+def case_sl2k_selfdual_exclusions() -> Outcome:
     """The two low-degree middle alternating powers fall to divisibility."""
     st = _Steps()
     a5 = SemisimpleAlgebra.parse("A5")
@@ -183,10 +170,10 @@ def case_sl2k_selfdual_exclusions() -> CaseReport:
              d70, 70, "Weyl dimension formula")
     st.hold("70 is excluded by the 7-divisibility gate", d70 % 7 == 0,
             "7 | 70")
-    return _report("sl2k-selfdual-exclusions", {}, st)
+    return st.done()
 
 
-def case_sl2k_nonselfdual_dims() -> CaseReport:
+def case_sl2k_nonselfdual_dims() -> Outcome:
     """Alternating powers of sl8 in degrees 2..4 all hit a divisibility gate."""
     st = _Steps()
     a7 = SemisimpleAlgebra.parse("A7")
@@ -199,20 +186,13 @@ def case_sl2k_nonselfdual_dims() -> CaseReport:
         st.hold(f"{dim} is divisible by 7 or by 4",
                 computed % 7 == 0 or computed % 4 == 0,
                 "integer divisibility")
-    return _report("sl2k-nonselfdual-dims", {}, st)
+    return st.done()
 
 
 # ---------------------------------------------------------------------------
 # Exceptional and orthogonal cases.
 
-def _nontrivial_involution(stype: SimpleType) -> LatticeInvolution:
-    for inv in diagram_automorphisms(stype):
-        if inv.order == 2:
-            return inv
-    raise CaseError(f"{stype} has no nontrivial diagram involution")
-
-
-def case_e6_parity() -> CaseReport:
+def case_e6_parity() -> Outcome:
     """Parity argument on the 27-dimensional minuscule character."""
     st = _Steps()
     alg = SemisimpleAlgebra.parse("E6")
@@ -220,7 +200,7 @@ def case_e6_parity() -> CaseReport:
     st.check("the minuscule character has 27 weights", fc.size, 27,
              "Weyl dimension formula and orbit count")
     st.check("27 is odd", fc.size % 2, 1, "integer parity")
-    delta = _nontrivial_involution(SimpleType("E", 6))
+    delta = next(inv for inv in diagram_automorphisms(SimpleType("E", 6)) if inv.order == 2)
     negated = {tuple(-c for c in w): m for w, m in fc.weights}
     image = {delta.apply(w): 0 for w, _ in fc.weights}
     for w, m in fc.weights:
@@ -237,7 +217,7 @@ def case_e6_parity() -> CaseReport:
     st.hold("zero occurs among the conjugation sums w + delta(w)",
             sums.multiplicity((0,) * 6) >= 1,
             "each fixed point of the self-conjugacy map contributes zero")
-    return _report("e6-parity", {}, st)
+    return st.done()
 
 
 _SO_STD = {
@@ -294,7 +274,7 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     return out
 
 
-def case_so_selfdual(m: int = 5) -> CaseReport:
+def case_so_selfdual(m: int) -> Outcome:
     """Exhaustive check that any equal-rank type A character sum matching the
     odd/even orthogonal standard character has only self-dual summands.
 
@@ -304,8 +284,6 @@ def case_so_selfdual(m: int = 5) -> CaseReport:
     number of distinct weights, zero-weight multiplicity or (m(w), m(-w))
     pair list (130 of 193 for m = 3..9), so only the matches build Gram data.
     Self-duality is checked once per distinct nontrivial summand of a match."""
-    if not 3 <= m <= 9:
-        raise CaseError("m must lie in 3..9")
     st = _Steps()
     ref_name, ref_hw = _SO_STD[m]
     ref_alg = SemisimpleAlgebra.parse(ref_name)
@@ -364,20 +342,13 @@ def case_so_selfdual(m: int = 5) -> CaseReport:
              "for every faithful irreducible on its support",
              sorted(set(chain_violations)), [],
              "minimal faithful dimension of a type A product")
-    return _report("so-selfdual", {"m": m}, st, notes={
-        "algebras": len(algebras),
-        "candidates": n_candidates,
-        "matches": n_matches,
-    })
+    return st.done(algebras=len(algebras), candidates=n_candidates,
+                   matches=n_matches)
 
 
-def case_so2m_conj_zero(m: int = 4) -> CaseReport:
+def case_so2m_conj_zero(m: int) -> Outcome:
     """Conjugation sums of the even orthogonal standard character under the
     fork-swapping involution contain zero exactly twice."""
-    if m < 4:
-        raise CaseError("m must be at least 4")
-    if m > 16:
-        raise CaseError("m above 16 exceeds the documented range")
     st = _Steps()
     alg = SemisimpleAlgebra.parse(f"D{m}")
     fc = irreducible_character(alg, tuple(1 if i == 0 else 0 for i in range(m)))
@@ -393,10 +364,10 @@ def case_so2m_conj_zero(m: int = 4) -> CaseReport:
              "only the swapped coordinate pair cancels")
     st.check("the sum multiset has 2m members", record.sums.size, 2 * m,
              "one sum per weight")
-    return _report("so2m-conj-zero", {"m": m}, st)
+    return st.done()
 
 
-def case_g2_sl3_coincidence() -> CaseReport:
+def case_g2_sl3_coincidence() -> Outcome:
     """The 7-dimensional exceptional character agrees with std + dual + trivial
     of sl3, and the sl3 side has no nontrivial self-dual summand."""
     st = _Steps()
@@ -424,7 +395,7 @@ def case_g2_sl3_coincidence() -> CaseReport:
     st.check("no nontrivial summand on the sl3 side is self-dual",
              nontrivial_selfdual, [],
              "dual highest weight comparison")
-    sub = type_a_equal_rank(build_root_system(SimpleType("G", 2)))
+    sub = type_a_equal_rank(SimpleType("G", 2))
     st.check("the long-root subsystem is a full-rank A2",
              tuple(str(t) for t in sub.component_types), ("A2",),
              "extended-diagram node deletion")
@@ -432,7 +403,7 @@ def case_g2_sl3_coincidence() -> CaseReport:
     st.check("restriction to the long-root subsystem equals the sl3 sum",
              restricted == sl3_sum, True,
              "coroot pairing against the subsystem's simple roots")
-    return _report("g2-sl3-coincidence", {}, st)
+    return st.done()
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +416,7 @@ def _parse_flat(text: str) -> Coords:
         raise CaseError(f"cannot parse weight coordinates {text!r}") from exc
 
 
-def case_max_norm_bound(algebra: str = "A2", hw: str = "1,1") -> CaseReport:
+def case_max_norm_bound(algebra: str, hw: str) -> Outcome:
     """Spanning maximal-norm weight sets have more members than the rank."""
     alg = SemisimpleAlgebra.parse(algebra)
     coords = _parse_flat(hw)
@@ -456,26 +427,13 @@ def case_max_norm_bound(algebra: str = "A2", hw: str = "1,1") -> CaseReport:
             record.spans, "exact rank computation")
     st.hold("spanning forces #W_max >= rank + 1",
             record.bound_ok, "orbit size bound under the symmetric group")
-    return _report("max-norm-bound", {"algebra": algebra, "hw": hw}, st, notes={
-        "count": len(record.weights),
-        "rank": alg.rank,
-        "norm2": record.norm2,
-    })
+    return st.done(count=len(record.weights), rank=alg.rank, norm2=record.norm2)
 
 
-def case_sym_power_rigidity(n: int = 3, a: int = 2) -> CaseReport:
+def case_sym_power_rigidity(n: int, a: int) -> Outcome:
     """Symmetric powers have exactly n+1 maximal-norm weights, spanning, and
     meet the count bound with equality, which pins the algebra to one simple
-    type A factor.
-
-    n above 40 raises CaseError: the root datum, the weights and the Weyl
-    orbit of A_n all grow steeply in n (in process on a 2-core host, n = 40
-    takes 0.10 s at a = 1, 0.30 s at a = 2 and 3.7 s at a = 3; n = 300 at
-    a = 1 took 132 s)."""
-    if n < 1 or a < 1:
-        raise CaseError("need n >= 1 and a >= 1")
-    if n > 40:
-        raise CaseError("n above 40 exceeds the documented range")
+    type A factor."""
     alg = SemisimpleAlgebra.parse(f"A{n}")
     hw = tuple(a if i == 0 else 0 for i in range(n))
     fc = irreducible_character(alg, hw)
@@ -494,7 +452,7 @@ def case_sym_power_rigidity(n: int = 3, a: int = 2) -> CaseReport:
     st.check("the spanning bound is met with equality",
              len(record.weights), alg.rank + 1,
              "equality admits no nontrivial tensor splitting")
-    return _report("sym-power-rigidity", {"n": n, "a": a}, st)
+    return st.done()
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +463,7 @@ def _parse_factors(text: str) -> tuple[SimpleType, ...]:
     return tuple(SimpleType.parse(p) for p in parts)
 
 
-def case_goursat(factors: str = "A2+A2+A2") -> CaseReport:
+def case_goursat(factors: str) -> Outcome:
     fac = _parse_factors(factors)
     report = verify_goursat_lemma(fac)
     st = _Steps()
@@ -514,17 +472,12 @@ def case_goursat(factors: str = "A2+A2+A2") -> CaseReport:
              "exhaustive sweep over type-compatible partitions")
     st.hold("at least one partition was examined", report.specs_checked >= 1,
             "partition enumeration")
-    return _report("goursat", {"factors": factors}, st,
-                   notes={"partitions": report.specs_checked})
+    return st.done(partitions=report.specs_checked)
 
 
-def case_factorization_bound(a: int = 2, b: int = 3, seed: int = 0) -> CaseReport:
+def case_factorization_bound(a: int, b: int, seed: int) -> Outcome:
     """A seeded random planar product of sizes (a, b) factors back, and the
     number of inequivalent factorizations respects the counting bound."""
-    if a < 2 or b < 2:
-        raise CaseError("factor sizes must be at least 2")
-    if a * b > 16:
-        raise CaseError("product size above 16 exceeds the documented range")
     rng = random.Random(seed)
     group = AbGroup(torsion=1, free_rank=2)
 
@@ -549,9 +502,7 @@ def case_factorization_bound(a: int = 2, b: int = 3, seed: int = 0) -> CaseRepor
     st.hold("every factorization has the requested sizes",
             all(d.sizes == (left.size, right.size) for d in decs),
             "profile bookkeeping")
-    return _report("factorization-bound", {"a": a, "b": b, "seed": seed}, st,
-                   notes={"count": len(decs), "bound": bound,
-                          "product_size": product.size})
+    return st.done(count=len(decs), bound=bound, product_size=product.size)
 
 
 # ---------------------------------------------------------------------------
@@ -645,20 +596,58 @@ def allowed_pairs(n: int) -> AllowedPairsReport:
 # ---------------------------------------------------------------------------
 # Dispatch.
 
-# Case id -> (function, type of each parameter it takes).
-_CASES: dict[str, tuple[Callable[..., CaseReport], dict[str, type]]] = {
-    "sl2k-selfdual": (case_sl2k_selfdual, {"k": int}),
-    "sl2k-selfdual-exclusions": (case_sl2k_selfdual_exclusions, {}),
-    "sl2k-nonselfdual-dims": (case_sl2k_nonselfdual_dims, {}),
-    "e6-parity": (case_e6_parity, {}),
-    "so-selfdual": (case_so_selfdual, {"m": int}),
-    "so2m-conj-zero": (case_so2m_conj_zero, {"m": int}),
-    "g2-sl3-coincidence": (case_g2_sl3_coincidence, {}),
-    "max-norm-bound": (case_max_norm_bound, {"algebra": str, "hw": str}),
-    "sym-power-rigidity": (case_sym_power_rigidity, {"n": int, "a": int}),
-    "goursat": (case_goursat, {"factors": str}),
-    "factorization-bound": (case_factorization_bound, {"a": int, "b": int, "seed": int}),
+class Domain(NamedTuple):
+    """A case and the documented range of its parameters, which run_case
+    checks before the case runs: ints maps each int parameter to (lo, default,
+    hi), the closed range lo..hi; free maps each parameter without a range (a
+    text, or a seed) to its default; joint, if given, is (label, closed form
+    of the parameters, limit)."""
+
+    run: Callable[..., Outcome]
+    ints: dict[str, tuple[int, int, int]] = {}
+    free: dict[str, str | int] = {}
+    joint: tuple[str, Callable[..., int], int] | None = None
+
+
+# Case id -> its domain.  Times are in process on a 2-core host.
+_CASES: dict[str, Domain] = {
+    # The sweeps are linear in k: 0.15 s at k = 10000, 1.1 s at 50000.
+    "sl2k-selfdual": Domain(case_sl2k_selfdual, {"k": (5, 5, 10000)}),
+    "sl2k-selfdual-exclusions": Domain(case_sl2k_selfdual_exclusions),
+    "sl2k-nonselfdual-dims": Domain(case_sl2k_nonselfdual_dims),
+    "e6-parity": Domain(case_e6_parity),
+    # _SO_STD holds the orthogonal standard character for m = 3..9 only.
+    "so-selfdual": Domain(case_so_selfdual, {"m": (3, 5, 9)}),
+    # D_m starts at m = 4; m = 16 takes 0.02 s.
+    "so2m-conj-zero": Domain(case_so2m_conj_zero, {"m": (4, 4, 16)}),
+    "g2-sl3-coincidence": Domain(case_g2_sl3_coincidence),
+    # A rank above 20 is refused before any work (A150 ran 10 s cold).  Up to
+    # it the dimension bound 100000 of weight_multiset governs: A16 (1,0,0,0,1,
+    # 0,...), dimension 92820, takes 4.9 s, where A40 (2,0,...,0,1), dimension
+    # 35260, took 8.4 s.  The slowest accepted input has rank 1: A1 (k) costs
+    # about k^2 in Freudenthal's root strings (22 s at k = 8000), so k = 99999
+    # would take about an hour.
+    "max-norm-bound": Domain(
+        case_max_norm_bound, free={"algebra": "A2", "hw": "1,1"},
+        joint=("rank of algebra",
+               lambda algebra, hw: SemisimpleAlgebra.parse(algebra).rank, 20)),
+    # sym^a of A_n has C(n+a, a) weights, and the root datum, the weights and
+    # the Weyl orbit all grow steeply in n (n = 300, a = 1 took 132 s).  At n
+    # = 40: a = 1 takes 0.11 s, a = 2 0.31 s, and a = 3 (12341 weights, the
+    # joint bound) 3.4 s; n = 3, a = 40 takes 0.25 s and n = 9, a = 7 0.47 s.
+    "sym-power-rigidity": Domain(
+        case_sym_power_rigidity, {"n": (1, 3, 40), "a": (1, 2, 40)},
+        joint=("C(n+a, a)", lambda n, a: math.comb(n + a, a), 12341)),
+    # verify_goursat_lemma refuses more than goursat.MAX_FACTORS factors.
+    "goursat": Domain(case_goursat, free={"factors": "A2+A2+A2"}),
+    "factorization-bound": Domain(
+        case_factorization_bound, {"a": (2, 2, 8), "b": (2, 3, 8)}, {"seed": 0},
+        joint=("a*b", lambda a, b, seed: a * b, 16)),
 }
+
+
+# The one wording of every refusal by a domain: label, side, limit.
+_OUTSIDE = "{} {} {} exceeds the documented range"
 
 
 def known_cases() -> tuple[str, ...]:
@@ -668,23 +657,33 @@ def known_cases() -> tuple[str, ...]:
 def run_case(case_id: str, params: dict[str, str] | None = None,
              seed: int | None = None) -> CaseReport:
     """Run one case with string-valued parameters as they arrive from a CLI;
-    a seed applies to a case that takes one unless params set it."""
+    a seed applies to a case that takes one unless params set it.  Every
+    value is checked against the case's domain before the case runs."""
     if case_id not in _CASES:
         raise CaseError(f"unknown case {case_id!r}; known: {', '.join(known_cases())}")
-    func, types = _CASES[case_id]
+    domain = _CASES[case_id]
     params = dict(params or {})
-    if seed is not None and "seed" in types:
+    values = {name: default for name, (_, default, _) in domain.ints.items()} | domain.free
+    if seed is not None and "seed" in values:
         params.setdefault("seed", str(seed))
-    kwargs = {}
     for key, raw in params.items():
-        if key not in types:
+        if key not in values:
             raise CaseError(f"case {case_id} takes no parameter {key!r}")
-        conv = types[key]
         try:
-            kwargs[key] = conv(raw)
+            values[key] = type(values[key])(raw)
         except (TypeError, ValueError) as exc:
             raise CaseError(f"bad value for {key}: {raw!r}") from exc
-    return func(**kwargs)
+    for name, (lo, _, hi) in domain.ints.items():
+        if not lo <= values[name] <= hi:
+            side, limit = ("below", lo) if values[name] < lo else ("above", hi)
+            raise CaseError(_OUTSIDE.format(name, side, limit))
+    if domain.joint is not None:
+        label, form, limit = domain.joint
+        if form(**values) > limit:
+            raise CaseError(_OUTSIDE.format(label, "above", limit))
+    steps, notes = domain.run(**values)
+    return CaseReport(case_id, tuple(sorted((k, fmt(v)) for k, v in values.items())),
+                      steps, tuple(sorted((k, fmt(v)) for k, v in notes.items())))
 
 
 def default_suite(seed: int = 0) -> list[tuple[str, dict]]:

@@ -16,9 +16,10 @@ from typing import TYPE_CHECKING
 
 # Each command that needs more than reps and rootsys imports it itself, so a
 # `dim` query loads neither the searches nor the verification cases.
-from ..reps import (DimensionBoundError, SemisimpleAlgebra, HighestWeight,
-                    irreducible_character, multiplicity_free_catalog, weyl_dimension)
-from ..rootsys import SimpleType, build_root_system, equal_rank_subsystems
+from ..reps import (DEFAULT_DIMENSION_BOUND, DimensionBoundError, SemisimpleAlgebra,
+                    HighestWeight, irreducible_character, multiplicity_free_catalog,
+                    weyl_dimension)
+from ..rootsys import SimpleType, equal_rank_subsystems
 
 if TYPE_CHECKING:
     from ..abmultiset import GroupMultiset
@@ -27,6 +28,12 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# multfree refuses a higher rank.  The spin and half-spin entries of B_m and
+# D_m have dimension 2^m and 2^(m-1), which Python prints only below 4300
+# digits (m < 14286), and a type of rank 10^8 exhausts memory; the limit
+# still covers every type-A rank (up to 5999) that allowed-pairs reads.
+MAX_CATALOG_RANK = 6000
 
 
 class UsageError(ValueError):
@@ -90,6 +97,9 @@ def _cmd_weights(args) -> int:
 
 def _cmd_multfree(args) -> int:
     stype = SimpleType.parse(args.type)
+    if stype.rank > MAX_CATALOG_RANK:
+        raise UsageError(
+            f"rank {stype.rank} of {stype} exceeds the catalog limit {MAX_CATALOG_RANK}")
     entries = multiplicity_free_catalog(stype, max_dim=args.max_dim)
     lines = [
         f"{stype} {','.join(str(c) for c in e.hw)} dim={e.dim} {e.label}"
@@ -185,7 +195,7 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_subsystems(args) -> int:
     stype = SimpleType.parse(args.type)
-    subs = equal_rank_subsystems(build_root_system(stype))
+    subs = equal_rank_subsystems(stype)
     lines = [
         "+".join(str(t) for t in s.component_types)
         for s in subs
@@ -269,14 +279,30 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if passed == len(reports) else EXIT_FAIL
 
 
+def _domain_terms(domain) -> list[str]:
+    """A case's domain in words: each parameter with its range, then the
+    joint bound."""
+    terms = [f"{name} in {lo}..{hi}" for name, (lo, _, hi) in domain.ints.items()]
+    terms += [f"{name} any integer" if isinstance(default, int) else f"{name} text"
+              for name, default in domain.free.items()]
+    if domain.joint is not None:
+        terms.append(f"{domain.joint[0]} <= {domain.joint[2]}")
+    return terms
+
+
 class _VerifyHelp(argparse.Action):
-    """`verify -h`: list the cases under `case` (the action in `const`) only
-    when help is printed, so that building the parser does not import them."""
+    """`verify -h`: list the cases under `case` (the action in `const`), each
+    with its domain, only when help is printed, so that building the parser
+    does not import them."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        from .cases import known_cases
+        from .cases import _CASES, known_cases
 
-        self.const.help = "one of:\n" + "\n".join(known_cases())
+        width = max(map(len, known_cases()))
+        self.const.help = "one of:\n" + "\n".join(
+            f"{case_id:<{width}}  " + (", ".join(_domain_terms(_CASES[case_id]))
+                                       or "no parameters")
+            for case_id in known_cases())
         parser.print_help()
         parser.exit()
 
@@ -306,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = negative_weight
     p.add_argument("algebra")
     p.add_argument("weight")
-    p.add_argument("--bound", type=int, default=100_000,
+    p.add_argument("--bound", type=int, default=DEFAULT_DIMENSION_BOUND,
                    help="refuse dimensions above this")
     p.set_defaults(func=_cmd_weights)
 

@@ -21,8 +21,7 @@ from charlattice.reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
                               dual_highest_weight, irreducible_character,
                               multiplicity_free_catalog, trivial_character,
                               weyl_dimension)
-from charlattice.rootsys import (SimpleType, build_root_system,
-                                 equal_rank_subsystems, reflect_coords,
+from charlattice.rootsys import (SimpleType, equal_rank_subsystems, reflect_coords,
                                  weyl_orbit)
 from charlattice.verifycli import cases
 
@@ -151,8 +150,7 @@ def test_criterion_08_orthogonal_selfduality_sweeps():
 
 def test_criterion_09_equal_rank_e8():
     start = time.monotonic()
-    rs = build_root_system(SimpleType.parse("E8"))
-    subs = equal_rank_subsystems(rs)
+    subs = equal_rank_subsystems(SimpleType.parse("E8"))
     signatures = {tuple(sorted(str(t) for t in s.component_types)) for s in subs}
     assert ("A4", "A4") in signatures
     for sub in subs:

@@ -18,8 +18,8 @@ from charlattice.linalg import dot, matvec
 from charlattice.reps import (SemisimpleAlgebra, direct_sum, enumerate_irreps_up_to_dim,
                               irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
-from charlattice.verifycli.cases import (_SO_STD, _faithful_sums, _partitions, default_suite,
-                                         run_case)
+from charlattice.verifycli.cases import (_CASES, _SO_STD, CaseError, _faithful_sums, _partitions,
+                                         default_suite, run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -225,3 +225,68 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict
     assert (len(asked), len(computed), len(set(computed))) == (542, 54, 54)
+
+
+# Joint bounds over text parameters: the parameters that sit at a joint value.
+TEXT_JOINT_PROBES = {"max-norm-bound": lambda rank: {"algebra": f"A{rank}"}}
+
+
+def test_every_domain_bound_is_checked_before_the_case_runs(monkeypatch):
+    """Each int parameter's lo and hi, and the largest joint value within the
+    limit, reach the case; lo - 1, hi + 1 and the smallest joint value past
+    the limit raise CaseError from run_case without the case being called."""
+    reached = []
+
+    def recorder(**values):
+        reached.append(values)
+        return (), {}
+
+    def outcome(case_id, values):
+        reached.clear()
+        try:
+            run_case(case_id, {k: str(v) for k, v in values.items()})
+        except CaseError as exc:
+            assert not reached and "exceeds the documented range" in str(exc)
+            return "refused"
+        assert len(reached) == 1 and all(reached[0][k] == v for k, v in values.items())
+        return "reached"
+
+    for case_id, domain in list(_CASES.items()):
+        monkeypatch.setitem(_CASES, case_id, domain._replace(run=recorder))
+        lowest = {name: lo for name, (lo, _, _) in domain.ints.items()}
+        for name, (lo, _, hi) in domain.ints.items():
+            for value, want in ((lo - 1, "refused"), (lo, "reached"),
+                                (hi, "reached"), (hi + 1, "refused")):
+                assert outcome(case_id, lowest | {name: value}) == want, (case_id, name, value)
+        if domain.joint is None:
+            continue
+        label, form, limit = domain.joint
+        if case_id in TEXT_JOINT_PROBES:
+            at, past = TEXT_JOINT_PROBES[case_id](limit), TEXT_JOINT_PROBES[case_id](limit + 1)
+        else:
+            grid = [dict(zip(domain.ints, point)) for point in itertools.product(
+                *(range(lo, hi + 1) for lo, _, hi in domain.ints.values()))]
+
+            def value(point):
+                return form(**(point | domain.free))
+
+            at = max((p for p in grid if value(p) <= limit), key=value)
+            past = min((p for p in grid if value(p) > limit), key=value)
+        assert outcome(case_id, at) == "reached", (case_id, label, at)
+        assert outcome(case_id, past) == "refused", (case_id, label, past)
+
+
+def test_domain_defaults_lie_in_their_ranges():
+    for case_id, domain in _CASES.items():
+        assert all(lo <= default <= hi for lo, default, hi in domain.ints.values()), case_id
+
+
+@pytest.mark.parametrize("n,a", [(1, 40), (3, 40), (9, 7), (40, 3), (40, 4)])
+def test_sym_power_joint_bound_is_the_character_size(n, a):
+    """The closed form C(n+a, a) is the Weyl dimension of sym^a of A_n, and
+    the limit 12341 is the size at n = 40, a = 3."""
+    alg = SemisimpleAlgebra.parse(f"A{n}")
+    dim = reps.weyl_dimension(alg, reps.HighestWeight.from_flat(alg, (a,) + (0,) * (n - 1)))
+    label, form, limit = _CASES["sym-power-rigidity"].joint
+    assert form(n=n, a=a) == dim
+    assert (dim <= limit) == ((n, a) != (40, 4))

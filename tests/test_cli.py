@@ -9,11 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from charlattice.verifycli.cases import known_cases
-from charlattice.verifycli.cli import build_parser, main
+from charlattice import rootsys
+from charlattice.goursat import MAX_FACTORS
+from charlattice.reps import DEFAULT_DIMENSION_BOUND
+from charlattice.verifycli import cli
+from charlattice.verifycli.cases import _CASES, known_cases
+from charlattice.verifycli.cli import _domain_terms, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -63,6 +68,22 @@ def test_multfree_catalog(capsys):
     code, out, _ = run(capsys, "multfree", "E8")
     assert code == 0
     assert out.strip() == ""
+
+
+def test_multfree_refuses_rank_above_cap_before_the_catalog(capsys, monkeypatch):
+    code, out, _ = run(capsys, "multfree", "D6000")
+    assert code == 0
+    assert [line.split()[2] for line in out.splitlines()] == [
+        "dim=12000", f"dim={2 ** 5999}", f"dim={2 ** 5999}"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"catalog built for {args}")
+
+    monkeypatch.setattr(cli, "multiplicity_free_catalog", refused)
+    for name in ("D6001", "D14400", "A100000000"):
+        code, out, err = run(capsys, "multfree", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {name[1:]} of {name} exceeds the catalog limit 6000\n"
 
 
 def test_multfree_type_a_needs_bound(capsys):
@@ -186,13 +207,17 @@ def test_subsystems_golden(capsys, name):
         assert out == SUBSYSTEMS_GOLDEN[name][fmt]
 
 
-def test_subsystems_refuses_rank_above_cap(capsys):
+def test_subsystems_refuses_rank_above_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "subsystems", "A20")
     assert (code, out) == (0, "A20\n")
-    for name in ("A21", "B21"):
+    built, build = [], rootsys.build_root_system
+    monkeypatch.setattr(rootsys, "build_root_system",
+                        lambda stype: built.append(stype) or build(stype))
+    for name in ("A21", "B21", "D300"):
         code, out, err = run(capsys, "subsystems", name)
         assert (code, out) == (2, "")
         assert err == f"error: rank {name[1:]} of {name} exceeds the subsystem-search limit 20\n"
+    assert built == []  # refused before any root datum is built
 
 
 def test_allowed_pairs_27(capsys):
@@ -265,8 +290,26 @@ def test_verify_help_names_every_case(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
-    listed = capsys.readouterr().out.split()
+    out = capsys.readouterr().out
+    listed = out.split()
     assert all(case in listed for case in known_cases())
+    lines = {line.split()[0]: line for line in out.splitlines() if line.split()}
+    for case_id, domain in _CASES.items():
+        assert lines[case_id].endswith(", ".join(_domain_terms(domain)) or "no parameters")
+
+
+def test_readme_table_lists_every_domain_and_cap():
+    rows = {line.split("|")[1].strip(): line.split("|")[2].strip()
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| ")}
+    for case_id, domain in _CASES.items():
+        terms = _domain_terms(domain) or ["no parameters"]
+        assert all(term in rows[f"`verify {case_id}`"] for term in terms), case_id
+    assert f"rank <= {rootsys.MAX_SUBSYSTEM_RANK}" in rows["`subsystems`"]
+    assert f"rank <= {cli.MAX_CATALOG_RANK}" in rows["`multfree`"]
+    assert f"default {DEFAULT_DIMENSION_BOUND}" in rows["`weights`"]
+    assert f"at most {MAX_FACTORS} factors" in rows["`verify goursat`"]
+    assert f"rank <= {rootsys.MAX_ROOT_DATUM_RANK}" in rows["any command that builds a root datum"]
 
 
 def test_verify_rejects_unknown_case(capsys):
@@ -309,6 +352,19 @@ def test_verify_sym_power_rigidity_refuses_n_above_cap(capsys):
     assert code == 0 and "verdict: pass" in out
     code, out, err = run(capsys, "verify", "sym-power-rigidity", "-p", "n=41", "-p", "a=1")
     assert (code, out, err) == (2, "", "error: n above 40 exceeds the documented range\n")
+
+
+@pytest.mark.parametrize("case,params,message", [
+    ("sym-power-rigidity", ["n=1", "a=3000"], "a above 40"),
+    ("sym-power-rigidity", ["n=15", "a=6"], "C(n+a, a) above 12341"),
+    ("sym-power-rigidity", ["n=0"], "n below 1"),
+    ("max-norm-bound", ["algebra=A150", "hw=" + ",".join(["1"] + ["0"] * 149)],
+     "rank of algebra above 20"),
+])
+def test_verify_refuses_outside_the_domain(capsys, case, params, message):
+    argv = [arg for p in params for arg in ("-p", p)]
+    code, out, err = run(capsys, "verify", case, *argv)
+    assert (code, out, err) == (2, "", f"error: {message} exceeds the documented range\n")
 
 
 def test_verify_param_type_errors(capsys):

@@ -77,7 +77,7 @@ def samples() -> dict[str, list[tuple]]:
     built = {
         "SimpleType": [a2, b2, SimpleType("E", 8), SimpleType("A", 10)],
         "RootSystem": [build_root_system(a2), build_root_system(b2)],
-        "Subsystem": list(equal_rank_subsystems(build_root_system(b2))),
+        "Subsystem": list(equal_rank_subsystems(b2)),
         "LatticeInvolution": [LatticeInvolution(((1, 0), (0, 1))), swap],
         "SemisimpleAlgebra": [alg, SemisimpleAlgebra((a2, b2))],
         "HighestWeight": [HighestWeight(((1, 0),)), HighestWeight(((0, 1), (2, 0)))],

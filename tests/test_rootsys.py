@@ -207,7 +207,7 @@ def _typed_blocks(sub):
 @given(data=st.data())
 def test_subsystem_classification_ignores_root_order(name, data):
     rs = build_root_system(SimpleType.parse(name))
-    subs = equal_rank_subsystems(rs)
+    subs = equal_rank_subsystems(rs.stype)
     sub = subs[data.draw(st.integers(0, len(subs) - 1))]
     shuffled = tuple(data.draw(st.permutations(sub.selected_roots)))
     assert classify_simple_system(rs, shuffled) == _typed_blocks(sub)
@@ -236,7 +236,7 @@ def test_components_take_least_standard_order(name):
     in a D4 block the smallest fork tip comes first."""
     st_ = SimpleType.parse(name)
     amb = ambient_root_system(st_)
-    for sub in equal_rank_subsystems(build_root_system(st_)):
+    for sub in equal_rank_subsystems(st_):
         for ctype, block in _typed_blocks(sub):
             if ctype.rank > 6:
                 continue
@@ -257,7 +257,7 @@ TYPE_A_PINS = json.loads((Path(__file__).parent / "golden" / "type_a_equal_rank.
 
 @pytest.mark.parametrize("name", sorted(TYPE_A_PINS))
 def test_type_a_equal_rank_roots_pinned(name):
-    sub = type_a_equal_rank(build_root_system(SimpleType.parse(name)))
+    sub = type_a_equal_rank(SimpleType.parse(name))
     assert [str(t) for t in sub.component_types] == TYPE_A_PINS[name]["component_types"]
     assert [list(r) for r in sub.selected_roots] == TYPE_A_PINS[name]["selected_roots"]
 
@@ -270,7 +270,7 @@ SUBSYSTEM_DIGESTS = json.loads((Path(__file__).parent / "golden" / "equal_rank_s
 def test_equal_rank_subsystems_pinned(name):
     """SHA-256 of the canonical JSON of every subsystem's types and roots,
     written when every candidate was classified whole."""
-    subs = equal_rank_subsystems(build_root_system(SimpleType.parse(name)))
+    subs = equal_rank_subsystems(SimpleType.parse(name))
     doc = [[[str(t) for t in s.component_types], [list(r) for r in s.selected_roots]]
            for s in subs]
     text = json.dumps(doc, separators=(",", ":"))
@@ -289,7 +289,7 @@ def test_subsystem_search_types_only_the_changed_block(monkeypatch, name, calls)
         return match(*args)
 
     monkeypatch.setattr(rootsys, "_match_component", counted)
-    equal_rank_subsystems(build_root_system(SimpleType.parse(name)))
+    equal_rank_subsystems(SimpleType.parse(name))
     assert len(made) == calls
 
 
@@ -327,7 +327,7 @@ SUBSYSTEM_TABLES = {
 @pytest.mark.parametrize("name", sorted(SUBSYSTEM_TABLES))
 def test_equal_rank_subsystem_signatures(name):
     rs = build_root_system(SimpleType.parse(name))
-    subs = equal_rank_subsystems(rs)
+    subs = equal_rank_subsystems(rs.stype)
     sigs = {"+".join(str(t) for t in s.component_types) for s in subs}
     assert sigs == SUBSYSTEM_TABLES[name]
     for s in subs:
@@ -340,7 +340,7 @@ def test_subsystem_blocks_have_standard_cartan_matrices(name):
     which equal_rank_subsystems relies on to read off its highest root."""
     st = SimpleType.parse(name)
     amb = ambient_root_system(st)
-    for sub in equal_rank_subsystems(build_root_system(st)):
+    for sub in equal_rank_subsystems(st):
         for ctype, block in _typed_blocks(sub):
             vectors = [_ambient(amb, beta) for beta in block]
             cartan = tuple(tuple(int(ambient_pairing(x, y)) for y in vectors)
@@ -352,7 +352,7 @@ def test_subsystems_have_full_rank_root_sets():
     from charlattice import linalg
     for name in ("B3", "G2", "E7"):
         rs = build_root_system(SimpleType.parse(name))
-        for s in equal_rank_subsystems(rs):
+        for s in equal_rank_subsystems(rs.stype):
             assert linalg.rank(s.selected_roots) == rs.rank
 
 
@@ -361,8 +361,7 @@ def test_subsystems_have_full_rank_root_sets():
     ("D4", "A1+A1+A1+A1"), ("C3", "A1+A1+A1"),
 ])
 def test_type_a_equal_rank_pick(name, expect):
-    rs = build_root_system(SimpleType.parse(name))
-    sub = type_a_equal_rank(rs)
+    sub = type_a_equal_rank(SimpleType.parse(name))
     assert "+".join(str(t) for t in sub.component_types) == expect
 
 
