@@ -49,44 +49,11 @@ def _moment_matrix(weighted, dim: int) -> list[list[int]]:
     return m
 
 
-def _induced_form(weights, rank: int) -> tuple[list[Coords], int, Mat]:
-    """Coordinates C of the distinct weights (the (weight, mult) pairs of a
-    character of the given rank) in a basis of their span, det(M) and adj(M)
-    for M = sum mult c c^T.
-
-    With p the pivot columns of the distinct-weight matrix and R the rows of
-    its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
-    entries at p are its coordinates c in the basis R.  The rank x rank
-    moment matrix sum mult w w^T has the kernel of the weight matrix, so its
-    columns depend on each other as the weights' columns do: p is read off
-    it, and M is its block on p.  For a faithful character p is every
-    column, and M is in fundamental coordinates.
-    """
-    full = _moment_matrix(weights, rank)
-    pivots = linalg.pivot_columns(full)
-    coords = [tuple(w[p] for p in pivots) for w, _ in weights]
-    det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
-    return coords, det, adj
-
-
-def _form_adjugate(fc: FormalCharacter) -> tuple[int, Mat]:
-    """det(M) > 0 and adj(M) for the character's moment matrix M in
-    fundamental coordinates; needs a faithful character."""
-    _, det, adj = _induced_form(fc.weights, fc.algebra.rank)
-    if len(adj) != fc.algebra.rank:
-        split = [fc.algebra.split_coords(w) for w, _ in fc.weights]
-        trivial = [str(st) for i, st in enumerate(fc.algebra.factors)
-                   if not any(any(parts[i]) for parts in split)]
-        detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
-        raise DegenerateFormError(f"character of {fc.algebra} is not faithful{detail}")
-    return det, adj
-
-
 def char_inner_product(fc: FormalCharacter) -> Mat:
     """Matrix, in fundamental coordinates, of the inner product the character
     induces on weight space: the dual of its sum-of-squares form.  Needs a
     faithful character."""
-    det, adj = _form_adjugate(fc)
+    det, adj, _ = _match_data(fc).faithful_form()
     return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
@@ -152,20 +119,47 @@ class _MatchData:
 
     def __init__(self, fc: FormalCharacter) -> None:
         self.weights = fc.weights
+        self.algebra = fc.algebra
         self.rank = fc.algebra.rank
         self.distinct = fc.distinct()
         self.mults = [m for _, m in fc.weights]
         self.invariants = _invariants(fc.weights)
 
     @cached_property
-    def form(self) -> tuple[int, int, list[Coords], Mat, list[int]]:
-        """Rank of the weights' span, det(M) > 0, the span coordinates C of the
-        distinct weights, the rows of C adj(M) and the integer norms
-        c adj(M) c.  The Gram entry of weights i and k is the dot of row i of
-        C adj(M) with row k of C, over det(M); no n x n matrix is built."""
-        coords, det, adj = _induced_form(self.weights, self.rank)
+    def form(self) -> tuple[int, Mat, list[Coords], Mat, list[int]]:
+        """det(M) > 0 and adj(M) for the induced form M on the weights' span,
+        the span coordinates C of the distinct weights, the rows of C adj(M)
+        and the integer norms c adj(M) c.  The Gram entry of weights i and k
+        is the dot of row i of C adj(M) with row k of C, over det(M); no
+        n x n matrix is built.
+
+        With p the pivot columns of the distinct-weight matrix and R the rows
+        of its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so
+        its entries at p are its coordinates c in the basis R.  The
+        rank x rank moment matrix sum mult w w^T has the kernel of the weight
+        matrix, so its columns depend on each other as the weights' columns
+        do: p is read off it, and M = sum mult c c^T is its block on p.  For a
+        faithful character p is every column, and M is in fundamental
+        coordinates.
+        """
+        full = _moment_matrix(self.weights, self.rank)
+        pivots = linalg.pivot_columns(full)
+        coords = [tuple(w[p] for p in pivots) for w, _ in self.weights]
+        det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
         left = linalg.matmul(coords, adj)
-        return len(adj), det, coords, left, [linalg.dot(x, c) for x, c in zip(left, coords)]
+        return det, adj, coords, left, [linalg.dot(x, c) for x, c in zip(left, coords)]
+
+    def faithful_form(self) -> tuple[int, Mat, list[int]]:
+        """det(M), adj(M) in fundamental coordinates and the integer norms of
+        `form`; raises DegenerateFormError unless the character is faithful."""
+        det, adj, _, _, norms = self.form
+        if len(adj) != self.rank:
+            split = [self.algebra.split_coords(w) for w, _ in self.weights]
+            trivial = [str(st) for i, st in enumerate(self.algebra.factors)
+                       if not any(any(parts[i]) for parts in split)]
+            detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
+            raise DegenerateFormError(f"character of {self.algebra} is not faithful{detail}")
+        return det, adj, norms
 
     @cached_property
     def order(self) -> list[int]:
@@ -224,13 +218,13 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     d1, d2 = data1.distinct, data2.distinct
     if len(d1) != len(d2) or data1.invariants != data2.invariants:
         return None
-    span1, det1, coords1, left1, norms1 = data1.form
-    span2, det2, coords2, left2, norms2 = data2.form
+    det1, adj1, coords1, left1, norms1 = data1.form
+    det2, adj2, coords2, left2, norms2 = data2.form
     # Norms and Gram entries are integers over each side's det(M): compare
     # them across the sides by cross-multiplying.
     keys1 = [(m, x * det2) for m, x in zip(data1.mults, norms1)]
     keys2 = [(m, x * det1) for m, x in zip(data2.mults, norms2)]
-    if span1 != span2 or sorted(keys1) != sorted(keys2):
+    if len(adj1) != len(adj2) or sorted(keys1) != sorted(keys2):
         return None
 
     order1 = data1.order
@@ -318,11 +312,10 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
     type-A spanning bound, so callers interpret bound_ok for all-type-A
     algebras.
     """
-    det, adj = _form_adjugate(fc)
+    det, _, norms = _match_data(fc).faithful_form()
     # det(M) > 0, so the integer norms w^T adj(M) w order as the norms do.
-    norms = [(linalg.dot(w, linalg.matvec(adj, w)), w) for w, _ in fc.weights]
-    top = max(n for n, _ in norms)
-    winners = tuple(w for n, w in norms if n == top)
+    top = max(norms)
+    winners = tuple(w for (w, _), x in zip(fc.weights, norms) if x == top)
     spans = linalg.rank(winners) == fc.algebra.rank
     bound_ok = (not spans) or len(winners) >= fc.algebra.rank + 1
     return MaxNormRecord(weights=winners, norm2=Fraction(top, det), spans=spans,

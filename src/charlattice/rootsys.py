@@ -237,21 +237,26 @@ def reflect_coords(rs: RootSystem, w: Coords, i: int) -> Coords:
 
 
 def weyl_orbit(rs: RootSystem, w: Coords) -> frozenset[Coords]:
-    """Full Weyl orbit of a weight, by closure under simple reflections."""
+    """Full Weyl orbit of a weight, as the descent tree under its dominant
+    conjugate.
+
+    dominant_representative steps from u to s_j u for the least j with
+    u_j < 0, so the children of v are the s_i v with v_i > 0 and no negative
+    coordinate before i, and every orbit point is reached once.
+    """
     if len(w) != rs.rank:
         raise ValueError(f"weight has {len(w)} coordinates, expected {rs.rank}")
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rs.rank):
-                image = reflect_coords(rs, v, i)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return frozenset(seen)
+    orbit = []
+    stack = [dominant_representative(rs, w)]
+    while stack:
+        v = stack.pop()
+        orbit.append(v)
+        for i, c in enumerate(v):
+            if c > 0:
+                u = reflect_coords(rs, v, i)
+                if min(u[:i], default=0) >= 0:
+                    stack.append(u)
+    return frozenset(orbit)
 
 
 def dominant_representative(rs: RootSystem, w: Coords) -> Coords:

@@ -634,7 +634,8 @@ _CASES: dict[str, Domain] = {
     # sym^a of A_n has C(n+a, a) weights, and the root datum, the weights and
     # the Weyl orbit all grow steeply in n (n = 300, a = 1 took 132 s).  At n
     # = 40: a = 1 takes 0.11 s, a = 2 0.31 s, and a = 3 (12341 weights, the
-    # joint bound) 3.4 s; n = 3, a = 40 takes 0.25 s and n = 9, a = 7 0.47 s.
+    # joint bound) 2.5-3.6 s; n = 3, a = 40 takes 0.25 s and n = 9, a = 7
+    # 0.47 s.
     "sym-power-rigidity": Domain(
         case_sym_power_rigidity, {"n": (1, 3, 40), "a": (1, 2, 40)},
         joint=("C(n+a, a)", lambda n, a: math.comb(n + a, a), 12341)),

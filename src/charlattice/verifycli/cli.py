@@ -100,6 +100,11 @@ def _cmd_multfree(args) -> int:
     if stype.rank > MAX_CATALOG_RANK:
         raise UsageError(
             f"rank {stype.rank} of {stype} exceeds the catalog limit {MAX_CATALOG_RANK}")
+    # type A lists one sym^a per dimension up to the cutoff, so an unbounded
+    # cutoff is an unbounded list
+    if args.max_dim is not None and args.max_dim > DEFAULT_DIMENSION_BOUND:
+        raise UsageError(
+            f"max-dim {args.max_dim} exceeds the dimension bound {DEFAULT_DIMENSION_BOUND}")
     entries = multiplicity_free_catalog(stype, max_dim=args.max_dim)
     lines = [
         f"{stype} {','.join(str(c) for c in e.hw)} dim={e.dim} {e.label}"

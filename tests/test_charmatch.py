@@ -176,9 +176,9 @@ def test_match_witnesses_golden():
 
 def test_search_and_norms_stay_in_integers(monkeypatch):
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
-    span, det, coords, left, norms = charmatch._match_data(e7).form
-    assert span == 7 and type(det) is int and det > 0
-    assert all(type(x) is int for rows in (coords, left) for row in rows for x in row)
+    det, adj, coords, left, norms = charmatch._match_data(e7).form
+    assert len(adj) == 7 and type(det) is int and det > 0
+    assert all(type(x) is int for rows in (adj, coords, left) for row in rows for x in row)
     assert all(type(x) is int and x > 0 for x in norms)
     # every dot product of the search, the witness check and the norms is an int
     plain_dot = linalg.dot
@@ -429,6 +429,25 @@ def test_invariants_survive_unimodular_maps(pair):
     assert charmatch._invariants(image.weights) == charmatch._invariants(fc.weights)
     witness = same_formal_character(fc, image)
     assert witness is not None and witness.validate()
+
+
+def test_max_norm_weights_read_the_form_the_search_built(monkeypatch):
+    fc = char("B3", (1, 0, 1))
+    moment_matrix = charmatch._moment_matrix
+    built = []
+
+    def counted(weighted, dim):
+        built.append(weighted)
+        return moment_matrix(weighted, dim)
+
+    monkeypatch.setattr(charmatch, "_moment_matrix", counted)
+    # B3's irreducibles are self-dual: the negation is equal to fc and
+    # shares its match data
+    assert same_formal_character(fc, negate_character(fc)) is not None
+    assert built == [fc.weights]
+    max_norm_weights(fc)
+    char_inner_product(fc)
+    assert built == [fc.weights]
 
 
 def test_match_data_goes_with_its_character():

@@ -86,6 +86,33 @@ def test_multfree_refuses_rank_above_cap_before_the_catalog(capsys, monkeypatch)
         assert err == f"error: rank {name[1:]} of {name} exceeds the catalog limit 6000\n"
 
 
+def test_multfree_refuses_max_dim_above_the_dimension_bound(capsys, monkeypatch):
+    code, out, _ = run(capsys, "multfree", "A1", "--max-dim", str(DEFAULT_DIMENSION_BOUND))
+    assert code == 0
+    assert len(out.splitlines()) == DEFAULT_DIMENSION_BOUND - 1  # std, then sym^2..sym^99999
+    # a cutoff of 10^4000 once grew A2000's sym^a list to 2.8 GB
+    huge = "1" + "0" * 4000
+    refusal = f"error: max-dim {huge} exceeds the dimension bound {DEFAULT_DIMENSION_BOUND}\n"
+
+    def cold() -> float:
+        start = time.perf_counter()
+        proc = python("-m", "charlattice.verifycli.cli", "multfree", "A2000", "--max-dim", huge)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refusal)
+        return elapsed
+
+    assert min(cold() for _ in range(2)) < 0.3
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"catalog built for {args}")
+
+    monkeypatch.setattr(cli, "multiplicity_free_catalog", refused)
+    for name in ("A2000", "D5"):
+        code, out, err = run(capsys, "multfree", name, "--max-dim", str(DEFAULT_DIMENSION_BOUND + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: max-dim 100001 exceeds the dimension bound {DEFAULT_DIMENSION_BOUND}\n"
+
+
 def test_multfree_type_a_needs_bound(capsys):
     code, _, err = run(capsys, "multfree", "A3")
     assert code == 2
@@ -307,6 +334,7 @@ def test_readme_table_lists_every_domain_and_cap():
         assert all(term in rows[f"`verify {case_id}`"] for term in terms), case_id
     assert f"rank <= {rootsys.MAX_SUBSYSTEM_RANK}" in rows["`subsystems`"]
     assert f"rank <= {cli.MAX_CATALOG_RANK}" in rows["`multfree`"]
+    assert f"max-dim <= {DEFAULT_DIMENSION_BOUND}" in rows["`multfree --max-dim`"]
     assert f"default {DEFAULT_DIMENSION_BOUND}" in rows["`weights`"]
     assert f"at most {MAX_FACTORS} factors" in rows["`verify goursat`"]
     assert f"rank <= {rootsys.MAX_ROOT_DATUM_RANK}" in rows["any command that builds a root datum"]

@@ -3,7 +3,8 @@
 Type A dimensions are cross-checked with the hook content formula, which
 shares no code with the Weyl dimension product, and type A multiplicities
 with Kostka numbers; small multisets are frozen by hand, and the multisets of
-a fixed grid over every family are pinned by hash.
+a fixed grid over every family are pinned by hash and, below E7, checked
+against the Weyl character formula (tests/weyl_character_oracle.py).
 """
 
 import hashlib
@@ -20,9 +21,10 @@ from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               irreducible_character, multiplicity_free_catalog,
                               restrict_to_subsystem, trivial_character,
                               weight_multiset, weyl_dimension, _simple_weight_multiset)
-from charlattice.rootsys import SimpleType, reflect_coords, type_a_equal_rank
+from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, type_a_equal_rank
 
 from kostka_oracle import content_of, hook_content_dimension, kostka, partition_of
+from weyl_character_oracle import check_weight_multiset, weyl_group_order, weyl_shifts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,6 +207,23 @@ def test_weight_multisets_match_golden_hashes():
         [(str(st), hw) for st, hw in pairs]
     for row, (st, hw) in zip(golden, pairs):
         assert multiset_digest(st, hw) == row["sha256"], (str(st), hw)
+
+
+def test_weight_multisets_satisfy_the_weyl_character_formula():
+    """Every grid multiset of a type whose Weyl group has at most 51,840
+    elements, against the character formula; E7 and E8, with 2,903,040 and
+    696,729,600 elements, keep the hashes."""
+    checked = set()
+    for st, hw in weight_multiset_grid():
+        order = weyl_group_order(st.family, st.rank)
+        if order > 51840:
+            continue
+        cartan = build_root_system(st).cartan_matrix
+        if st not in checked:
+            assert len(weyl_shifts(cartan)) == order, st
+            checked.add(st)
+        check_weight_multiset(cartan, hw, _simple_weight_multiset(st, hw))
+    assert {str(st) for st in checked} == set(GRID_TYPES) - {"E7", "E8"}
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, Classific
                                  diagram_automorphisms, dominant_representative,
                                  equal_rank_subsystems, pairing, reflect_coords,
                                  type_a_equal_rank, weyl_orbit)
+from weyl_character_oracle import orbit_closure, reflect, weyl_group_order
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5",
@@ -303,6 +305,63 @@ def test_weyl_orbit_and_dominant_representative():
     rs2 = build_root_system(SimpleType.parse("B2"))
     assert len(weyl_orbit(rs2, (1, 0))) == 4  # short orbit of the std weight
     assert len(weyl_orbit(rs2, (1, 1))) == 8
+
+
+ORBIT_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+               + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def orbit_size(rs, hw) -> int:
+    """|W| / |W_J| for a dominant hw, with W_J generated by the simple
+    reflections that fix hw."""
+    fixed = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank) if not hw[i])
+    stabilizer = math.prod(weyl_group_order(ct.family, ct.rank)
+                           for ct, _ in classify_simple_system(rs, fixed))
+    return weyl_group_order(rs.stype.family, rs.rank) // stabilizer
+
+
+@pytest.mark.parametrize("name", ORBIT_TYPES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_weyl_orbit_matches_a_closure_oracle(name, data):
+    """A dominant weight with entries up to 2, zeroed in a drawn order until
+    its orbit has at most 1,000 points, and its image under a word of simple
+    reflections: the orbit is the oracle's closure, and every point of it
+    has the one dominant representative."""
+    rs = build_root_system(SimpleType.parse(name))
+    hw = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank))
+    for i in data.draw(st.permutations(range(rs.rank))):
+        if orbit_size(rs, hw) <= 1000:
+            break
+        hw[i] = 0
+    w = tuple(hw)
+    for i in data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=12)):
+        w = reflect(rs.cartan_matrix, w, i)
+    orbit = weyl_orbit(rs, w)
+    assert orbit == set(orbit_closure(rs.cartan_matrix, w))
+    assert len(orbit) == orbit_size(rs, hw)
+    assert {dominant_representative(rs, v) for v in orbit} == {tuple(hw)}
+
+
+@pytest.mark.parametrize("hw,calls", [((1, 0, 0, 0, 0, 0, 0, 0), 5616),
+                                      ((0, 0, 0, 0, 0, 0, 1, 0), 18592)])
+def test_weyl_orbit_reflects_only_down_the_descent_tree(monkeypatch, hw, calls):
+    # A closure under all eight reflections made rank x |orbit| = 17,280 and
+    # 53,760 reflections for these orbits of 2,160 and 6,720 points; the tree
+    # reflects v in s_i only where v_i > 0.
+    plain = rootsys.reflect_coords
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(rootsys, "reflect_coords", counted)
+    rs = build_root_system(SimpleType("E", 8))
+    orbit = weyl_orbit(rs, hw)
+    assert len(made) == calls == sum(c > 0 for v in orbit for c in v)
+    assert orbit == set(orbit_closure(rs.cartan_matrix, hw))
 
 
 def test_reflect_coords_is_involution():
