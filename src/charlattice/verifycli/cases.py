@@ -10,6 +10,7 @@ make up the full verification run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Callable
@@ -274,16 +275,50 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     return out
 
 
+# Rank tuple -> its coordinate symmetries, built on first use.
+_SYMMETRIES: dict[tuple[int, ...], list[Coords]] = {}
+
+
+def _coordinate_symmetries(ranks: tuple[int, ...]) -> list[Coords]:
+    """The diagram symmetries of A_ranks[0] + A_ranks[1] + ... as permutations
+    perm of the flat fundamental coordinates, x -> tuple(x[p] for p in perm):
+    block j of the image is the block of a factor of rank ranks[j], read
+    forwards or, for rank >= 2, backwards (that factor's lambda -> lambda*)."""
+    syms = _SYMMETRIES.get(ranks)
+    if syms is None:
+        blocks, start = [], 0
+        for r in ranks:
+            blocks.append(range(start, start + r))
+            start += r
+        orders = [order for order in itertools.permutations(range(len(ranks)))
+                  if all(ranks[i] == r for i, r in zip(order, ranks))]
+        flips = list(itertools.product(*[(False, True) if r >= 2 else (False,)
+                                          for r in ranks]))
+        syms = _SYMMETRIES[ranks] = [
+            tuple(c for i, back in zip(order, flip)
+                  for c in (reversed(blocks[i]) if back else blocks[i]))
+            for order in orders for flip in flips]
+    return syms
+
+
 def case_so_selfdual(m: int) -> Outcome:
     """Exhaustive check that any equal-rank type A character sum matching the
     odd/even orthogonal standard character has only self-dual summands.
 
     Every sum from _faithful_sums over each all-type-A algebra of rank m // 2
-    goes to same_formal_character against the one reference character, whose
-    match data is computed once.  Most sums are rejected there on their
-    number of distinct weights, zero-weight multiplicity or (m(w), m(-w))
-    pair list (130 of 193 for m = 3..9), so only the matches build Gram data.
-    Self-duality is checked once per distinct nontrivial summand of a match."""
+    is counted, but same_formal_character decides only one sum per orbit of
+    the algebra's coordinate symmetries (_coordinate_symmetries), against the
+    one reference character, whose match data is computed once.  Each
+    symmetry sigma permutes the fundamental coordinates by a lattice
+    automorphism that carries the weights of V(lambda) onto those of
+    V(sigma lambda): a swap of equal factors, or the diagram involution
+    lambda -> lambda* of an A_r factor.  So a witness T for one sum gives
+    sigma T for its image, and a non-match stays a non-match; the verdict is
+    kept under the sorted flat highest weights of every image.  That leaves
+    72 searches of 193 sums for m = 3..9; most are rejected on their number
+    of distinct weights, zero-weight multiplicity or (m(w), m(-w)) pair
+    list, so only the 26 matches among them build Gram data.  Self-duality
+    is checked once per distinct nontrivial summand of a match."""
     st = _Steps()
     ref_name, ref_hw = _SO_STD[m]
     ref_alg = SemisimpleAlgebra.parse(ref_name)
@@ -303,7 +338,7 @@ def case_so_selfdual(m: int) -> Outcome:
     char_cache: dict[tuple, FormalCharacter] = {}
 
     for alg in algebras:
-        ranks = [f.rank for f in alg.factors]
+        ranks = tuple(f.rank for f in alg.factors)
         irreps = enumerate_irreps_up_to_dim(alg, m)
         for hw, d in irreps:
             support = [j for j in range(len(ranks))
@@ -316,17 +351,24 @@ def case_so_selfdual(m: int) -> Outcome:
                 middle *= 1 + ranks[j]
             if not lower <= middle <= d:
                 chain_violations.append(f"{alg}:{hw}")
+        symmetries = _coordinate_symmetries(ranks)
+        verdicts: dict[tuple[Coords, ...], bool] = {}  # sorted flat weights -> match
         for combo in _faithful_sums(alg, irreps, m):
             n_candidates += 1
-            parts = []
-            for hw, _ in combo:
-                key = (alg, hw)
-                if key not in char_cache:
-                    char_cache[key] = weight_multiset(alg, hw)
-                parts.append(char_cache[key])
-            candidate = direct_sum(*parts)
-            witness = same_formal_character(ref, candidate)
-            if witness is None:
+            flats = [hw.flat() for hw, _ in combo]
+            match = verdicts.get(tuple(sorted(flats)))
+            if match is None:
+                parts = []
+                for hw, _ in combo:
+                    key = (alg, hw)
+                    if key not in char_cache:
+                        char_cache[key] = weight_multiset(alg, hw)
+                    parts.append(char_cache[key])
+                match = same_formal_character(ref, direct_sum(*parts)) is not None
+                for perm in symmetries:
+                    image = sorted(tuple(f[p] for p in perm) for f in flats)
+                    verdicts[tuple(image)] = match
+            if not match:
                 continue
             n_matches += 1
             matched.update((alg, hw) for hw, _ in combo if any(hw.flat()))
