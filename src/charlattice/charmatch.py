@@ -26,7 +26,7 @@ from . import linalg
 from ._record import record
 from .linalg import Mat
 from .reps import FormalCharacter
-from .rootsys import Coords, LatticeInvolution, first_placement
+from .rootsys import Coords, first_placement
 
 
 class DegenerateFormError(ValueError):
@@ -324,49 +324,51 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
 
 @record
 class ConjugationMultiset:
-    """The multiset of sums w + inv(w) over a character's weights."""
+    """The multiset of sums w + perm(w) over a character's weights."""
 
     base: FormalCharacter
-    involution: LatticeInvolution
+    perm: Coords
     sums: FormalCharacter
 
 
-def _involution_image_counts(fc: FormalCharacter, inv: LatticeInvolution, sign: int) -> dict[Coords, int]:
+def _permuted_counts(fc: FormalCharacter, perm: Coords, sign: int) -> dict[Coords, int]:
+    """The counts of sign * perm(w) over the weights w, after checking that
+    perm is a permutation of fc's coordinates that squares to the identity."""
+    if len(perm) != fc.algebra.rank:
+        raise NonCompatibleInvolutionError("involution rank does not match the algebra")
+    if sorted(perm) != list(range(len(perm))) or any(perm[p] != i for i, p in enumerate(perm)):
+        raise NonCompatibleInvolutionError(f"{perm} is not an involutive coordinate permutation")
     out: dict[Coords, int] = {}
     for w, m in fc.weights:
-        im = tuple(sign * c for c in inv.apply(w))
+        im = tuple(sign * w[p] for p in perm)
         out[im] = out.get(im, 0) + m
     return out
 
 
-def conjugation_sums(fc: FormalCharacter, inv: LatticeInvolution) -> ConjugationMultiset:
-    """Multiset {w + inv(w)}; inv must carry the multiset onto itself or its negation."""
-    if inv.rank != fc.algebra.rank:
-        raise NonCompatibleInvolutionError("involution rank does not match the algebra")
+def conjugation_sums(fc: FormalCharacter, perm: Coords) -> ConjugationMultiset:
+    """Multiset {w + perm(w)} for a diagram involution perm of the fundamental
+    coordinates; perm must carry the multiset onto itself or its negation."""
     counts = fc.counts()
-    if _involution_image_counts(fc, inv, 1) != counts and \
-            _involution_image_counts(fc, inv, -1) != counts:
+    if _permuted_counts(fc, perm, 1) != counts and _permuted_counts(fc, perm, -1) != counts:
         raise NonCompatibleInvolutionError(
             "involution maps the weight multiset neither to itself nor to its negation")
     sums: dict[Coords, int] = {}
     for w, m in fc.weights:
-        s = tuple(a + b for a, b in zip(w, inv.apply(w)))
+        s = tuple(w[i] + w[p] for i, p in enumerate(perm))
         sums[s] = sums.get(s, 0) + m
     return ConjugationMultiset(
         base=fc,
-        involution=inv,
+        perm=perm,
         sums=FormalCharacter.from_counts(fc.algebra, sums),
     )
 
 
-def fixed_point_exists(fc: FormalCharacter, inv: LatticeInvolution) -> bool:
-    """Whether w = -inv(w) for some weight; the map w -> -inv(w) must permute the multiset."""
-    if inv.rank != fc.algebra.rank:
-        raise NonCompatibleInvolutionError("involution rank does not match the algebra")
-    if _involution_image_counts(fc, inv, -1) != fc.counts():
+def fixed_point_exists(fc: FormalCharacter, perm: Coords) -> bool:
+    """Whether w = -perm(w) for some weight; the map w -> -perm(w) must permute the multiset."""
+    if _permuted_counts(fc, perm, -1) != fc.counts():
         raise NonCompatibleInvolutionError(
             "the map w -> -inv(w) does not permute the weight multiset")
-    return any(tuple(-c for c in inv.apply(w)) == w for w, _ in fc.weights)
+    return any(all(w[i] == -w[p] for i, p in enumerate(perm)) for w, _ in fc.weights)
 
 
 __all__ = [

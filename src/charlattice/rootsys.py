@@ -25,7 +25,6 @@ import itertools
 from functools import lru_cache
 from operator import mul
 
-from . import linalg
 from ._record import record
 
 Coords = tuple[int, ...]
@@ -483,60 +482,24 @@ def type_a_equal_rank(stype: SimpleType) -> Subsystem:
 # Diagram automorphisms acting on fundamental coordinates.
 
 
-@record
-class LatticeInvolution:
-    """An integer weight-lattice map squaring to the identity."""
-
-    matrix: tuple[Coords, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("involution matrix must be square")
-        square = linalg.matmul(self.matrix, self.matrix)
-        if square != linalg.identity(n):
-            raise ValueError("matrix does not square to the identity")
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def order(self) -> int:
-        return 1 if self.matrix == linalg.identity(self.rank) else 2
-
-    def apply(self, w: Coords) -> Coords:
-        return tuple(int(sum(row[j] * w[j] for j in range(len(w)))) for row in self.matrix)
-
-    @classmethod
-    def identity(cls, rank: int) -> "LatticeInvolution":
-        return cls(linalg.identity(rank))
-
-    @classmethod
-    def from_node_permutation(cls, perm: dict[int, int], rank: int) -> "LatticeInvolution":
-        return cls(tuple(tuple(int(j == perm.get(i, i)) for j in range(rank))
-                         for i in range(rank)))
-
-
-def diagram_automorphisms(stype: SimpleType) -> tuple[LatticeInvolution, ...]:
+def diagram_automorphisms(stype: SimpleType) -> tuple[Coords, ...]:
     """The diagram automorphisms of stype that square to the identity, as
-    maps on fundamental coordinates.
+    permutations perm of the fundamental coordinates, w -> tuple(w[p] for p
+    in perm).
 
-    The returned involutions include the identity; for D4 they are the three
-    swaps of two fork tips, and the two rotations of the fork are left out
-    since they do not square to the identity.
+    The identity comes first; for D4 the others are the three swaps of two
+    fork tips, and the two rotations of the fork are left out since they do
+    not square to the identity.
     """
     n = stype.rank
-    invs = [LatticeInvolution.identity(n)]
+    perms = [tuple(range(n))]
     if stype.family == "A" and n >= 2:
-        invs.append(LatticeInvolution.from_node_permutation(
-            {i: n - 1 - i for i in range(n)}, n))
+        perms.append(tuple(reversed(range(n))))
     elif stype.family == "D" and n == 4:
         # The fork tips are nodes 0, 2, 3 in standard numbering.
-        for a, b in ((0, 2), (0, 3), (2, 3)):
-            invs.append(LatticeInvolution.from_node_permutation({a: b, b: a}, n))
+        perms += [(2, 1, 0, 3), (3, 1, 2, 0), (0, 1, 3, 2)]
     elif stype.family == "D" and n >= 5:
-        invs.append(LatticeInvolution.from_node_permutation({n - 2: n - 1, n - 1: n - 2}, n))
+        perms.append(tuple(range(n - 2)) + (n - 1, n - 2))
     elif stype == SimpleType("E", 6):
-        invs.append(LatticeInvolution.from_node_permutation({0: 5, 5: 0, 2: 4, 4: 2}, n))
-    return tuple(invs)
+        perms.append((5, 1, 4, 3, 2, 0))
+    return tuple(perms)

@@ -28,8 +28,8 @@ from ..reps import (FormalCharacter, HighestWeight, SemisimpleAlgebra,
                     irreducible_character, multiplicity_free_catalog,
                     restrict_to_subsystem, trivial_character, weight_multiset,
                     weyl_dimension)
-from ..rootsys import (LatticeInvolution, SimpleType, build_root_system,
-                       diagram_automorphisms, type_a_equal_rank, weyl_orbit)
+from ..rootsys import (SimpleType, build_root_system, diagram_automorphisms,
+                       type_a_equal_rank, weyl_orbit)
 
 Coords = tuple[int, ...]
 
@@ -201,11 +201,9 @@ def case_e6_parity() -> Outcome:
     st.check("the minuscule character has 27 weights", fc.size, 27,
              "Weyl dimension formula and orbit count")
     st.check("27 is odd", fc.size % 2, 1, "integer parity")
-    delta = next(inv for inv in diagram_automorphisms(SimpleType("E", 6)) if inv.order == 2)
+    delta = diagram_automorphisms(SimpleType("E", 6))[1]
     negated = {tuple(-c for c in w): m for w, m in fc.weights}
-    image = {delta.apply(w): 0 for w, _ in fc.weights}
-    for w, m in fc.weights:
-        image[delta.apply(w)] += m
+    image = {tuple(w[p] for p in delta): m for w, m in fc.weights}
     st.check("the diagram involution carries the multiset onto its negation",
              image == negated, True,
              "dual pairing of the two minuscule orbits")
@@ -282,21 +280,18 @@ _SYMMETRIES: dict[tuple[int, ...], list[Coords]] = {}
 def _coordinate_symmetries(ranks: tuple[int, ...]) -> list[Coords]:
     """The diagram symmetries of A_ranks[0] + A_ranks[1] + ... as permutations
     perm of the flat fundamental coordinates, x -> tuple(x[p] for p in perm):
-    block j of the image is the block of a factor of rank ranks[j], read
-    forwards or, for rank >= 2, backwards (that factor's lambda -> lambda*)."""
+    block j of the image is the block of a factor of rank ranks[j], permuted
+    by a diagram automorphism of A_ranks[j] (rootsys.diagram_automorphisms):
+    the identity or, for rank >= 2, the reversal lambda -> lambda*."""
     syms = _SYMMETRIES.get(ranks)
     if syms is None:
-        blocks, start = [], 0
-        for r in ranks:
-            blocks.append(range(start, start + r))
-            start += r
+        starts = list(itertools.accumulate(ranks[:-1], initial=0))
         orders = [order for order in itertools.permutations(range(len(ranks)))
                   if all(ranks[i] == r for i, r in zip(order, ranks))]
-        flips = list(itertools.product(*[(False, True) if r >= 2 else (False,)
+        flips = list(itertools.product(*[diagram_automorphisms(SimpleType("A", r))
                                           for r in ranks]))
         syms = _SYMMETRIES[ranks] = [
-            tuple(c for i, back in zip(order, flip)
-                  for c in (reversed(blocks[i]) if back else blocks[i]))
+            tuple(starts[i] + p for i, perm in zip(order, flip) for p in perm)
             for order in orders for flip in flips]
     return syms
 
@@ -396,7 +391,7 @@ def case_so2m_conj_zero(m: int) -> Outcome:
     fc = irreducible_character(alg, tuple(1 if i == 0 else 0 for i in range(m)))
     st.check("the standard character has 2m weights", fc.size, 2 * m,
              "Weyl dimension formula")
-    swap = LatticeInvolution.from_node_permutation({m - 2: m - 1, m - 1: m - 2}, m)
+    swap = tuple(range(m - 2)) + (m - 1, m - 2)
     st.hold("the coordinate swap is a diagram automorphism",
             swap in diagram_automorphisms(SimpleType("D", m)),
             "fork symmetry of the even orthogonal diagram")

@@ -123,7 +123,7 @@ def _cmd_samechar(args) -> int:
 
     first = read_character_file(args.first)
     second = read_character_file(args.second)
-    witness = same_formal_character(first.character, second.character)
+    witness = same_formal_character(first, second)
     if witness is None:
         _emit({"match": False, "witness": None}, args.format, ["no witness"])
         return EXIT_OK

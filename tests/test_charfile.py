@@ -1,19 +1,31 @@
-"""Character file parsing and canonical emission."""
+"""Character file parsing, and a canonical writer for the round trip."""
+
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charlattice.reps import SemisimpleAlgebra, irreducible_character
-from charlattice.verifycli.charfile import (CharacterFile, CharFileError,
+from charlattice.verifycli.charfile import (CharFileError, parse_character,
                                             read_character_file)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def emit(fc) -> str:
+    """The canonical text of a character: sorted weights, single spaces, no
+    comments, so parsing it and emitting again reproduces it byte for byte."""
+    out = [f"algebra: {fc.algebra}", "weights:"]
+    out += [" ".join(map(str, w)) + f" {m}" for w, m in fc.weights]
+    return "\n".join(out) + "\n"
 
 
 def test_parse_minimal():
-    cf = CharacterFile.parse("algebra: A1\nweights:\n-1 1\n1 1\n")
-    assert str(cf.character.algebra) == "A1"
-    assert cf.character.counts() == {(-1,): 1, (1,): 1}
-    assert cf.involution is None
+    fc = parse_character("algebra: A1\nweights:\n-1 1\n1 1\n")
+    assert str(fc.algebra) == "A1"
+    assert fc.counts() == {(-1,): 1, (1,): 1}
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -26,34 +38,16 @@ def test_parse_accepts_comments_and_blanks():
     -1 1
     1 2
     """
-    cf = CharacterFile.parse(text)
-    assert cf.character.counts() == {(-1,): 2, (1,): 2}
-
-
-def test_parse_involution_section():
-    text = "algebra: A1+A1\nweights:\n1 1 1\n-1 -1 1\n" \
-           "involution:\n0 1\n1 0\n"
-    cf = CharacterFile.parse(text)
-    assert cf.involution is not None
-    assert cf.involution.apply((1, -1)) == (-1, 1)
+    fc = parse_character(text)
+    assert fc.counts() == {(-1,): 2, (1,): 2}
 
 
 def test_emit_is_canonical_fixed_point():
     text = "algebra: A2\nweights:\n2 0 1\n0 1 3\n-1 -1 2\n"
-    cf = CharacterFile.parse(text)
-    emitted = cf.emit()
-    assert CharacterFile.parse(emitted).emit() == emitted
+    emitted = emit(parse_character(text))
+    assert emit(parse_character(emitted)) == emitted
     # emitted form sorts the weights
     assert emitted.index("-1 -1 2") < emitted.index("0 1 3") < emitted.index("2 0 1")
-
-
-def test_roundtrip_with_involution():
-    text = "algebra: A2\nweights:\n1 0 1\n-1 1 1\n0 -1 1\n" \
-           "involution:\n0 1\n1 0\n"
-    emitted = CharacterFile.parse(text).emit()
-    again = CharacterFile.parse(emitted)
-    assert again.emit() == emitted
-    assert again.involution.matrix == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -65,28 +59,38 @@ def test_roundtrip_with_involution():
     ("algebra: A1\nweights:\nx 1\n", "non-integer"),
     ("algebra: A1\nweights:\n1 0\n", "positive"),
     ("algebra: A1\nweights:\n", "no weight rows"),
-    ("algebra: A1\nweights:\n1 1\ninvolution:\n1 0\n", "entries"),
-    ("algebra: A1\nweights:\n1 1\ninvolution:\n", "needs 1 rows"),
-    ("algebra: A1\nweights:\n1 1\ninvolution:\ninvolution:\n", "duplicate"),
-    ("algebra: A1\nweights:\n-1 1\n1 1\ninvolution:\n2\n", "identity"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(CharFileError, match=fragment):
-        CharacterFile.parse(text)
+        parse_character(text)
+
+
+def test_involution_section_is_refused():
+    text = "algebra: A1+A1\nweights:\n1 1 1\n-1 -1 1\ninvolution:\n0 1\n1 0\n"
+    with pytest.raises(CharFileError, match="^line 5: "):
+        parse_character(text)
 
 
 def test_read_character_file(tmp_path):
     p = tmp_path / "std.char"
     p.write_text("algebra: A2\nweights:\n1 0 1\n-1 1 1\n0 -1 1\n", encoding="utf-8")
-    cf = read_character_file(str(p))
-    assert cf.character.size == 3
+    assert read_character_file(str(p)).size == 3
+
+
+def test_readme_example_parses(tmp_path):
+    """The character file shown in the README is one that the reader accepts."""
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"Character files are plain text:\n\n```\n(.*?)```", readme, re.S)
+    p = tmp_path / "readme.char"
+    p.write_text(block.group(1), encoding="utf-8")
+    fc = read_character_file(str(p))
+    assert fc == irreducible_character(fc.algebra, (1, 0))
 
 
 @settings(max_examples=25, deadline=None)
 @given(hw=st.tuples(st.integers(0, 2), st.integers(0, 2)))
 def test_irreducible_characters_roundtrip(hw):
     fc = irreducible_character(SemisimpleAlgebra.parse("A2"), hw)
-    cf = CharacterFile(character=fc)
-    again = CharacterFile.parse(cf.emit())
-    assert again.character == fc
-    assert again.emit() == cf.emit()
+    again = parse_character(emit(fc))
+    assert again == fc
+    assert emit(again) == emit(fc)

@@ -33,7 +33,7 @@ from charlattice.charmatch import (AltPowerStats, DegenerateFormError,
 from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, trivial_character)
-from charlattice.rootsys import LatticeInvolution, SimpleType
+from charlattice.rootsys import SimpleType
 from test_linalg import reference_rref
 from test_reps import negate_character
 
@@ -526,23 +526,29 @@ def test_max_norm_nonspanning():
 
 def test_conjugation_sums_identity_doubles():
     fc = char("A1", (2,))
-    inv = LatticeInvolution.identity(1)
-    sums = conjugation_sums(fc, inv).sums
+    sums = conjugation_sums(fc, (0,)).sums
     assert sums.counts() == {(-4,): 1, (0,): 1, (4,): 1}
 
 
-def test_conjugation_sums_negation_collapses():
-    fc = char("A2", (1, 0))
-    negation = LatticeInvolution(((-1, 0), (0, -1)))
-    sums = conjugation_sums(fc, negation).sums
-    assert sums.counts() == {(0, 0): 3}
-    assert fixed_point_exists(fc, negation)
+def test_conjugation_sums_under_the_a2_flip():
+    fc = char("A2", (1, 0))  # the flip carries Std onto its negation
+    sums = conjugation_sums(fc, (1, 0)).sums
+    assert sums.counts() == {(1, 1): 1, (0, 0): 1, (-1, -1): 1}
+    assert fixed_point_exists(fc, (1, 0))  # (-1, 1) = -flip(-1, 1)
 
 
 def test_involution_must_respect_multiset():
     fc = char("A2", (1, 0))
-    shift = LatticeInvolution.identity(2)
+    shift = (0, 1)
     with pytest.raises(NonCompatibleInvolutionError):
         fixed_point_exists(fc, shift)  # w -> -w is not a symmetry of Std
-    with pytest.raises(NonCompatibleInvolutionError):
-        conjugation_sums(char("A1", (1,)), LatticeInvolution.identity(2))
+    with pytest.raises(NonCompatibleInvolutionError, match="rank"):
+        conjugation_sums(char("A1", (1,)), (0, 1))
+
+
+@pytest.mark.parametrize("perm", [(1, 2, 0), (0, 0, 1), (0, 1, 3)])
+def test_involution_must_be_an_involutive_permutation(perm):
+    fc = char("A3", (0, 1, 0))
+    for fn in (conjugation_sums, fixed_point_exists):
+        with pytest.raises(NonCompatibleInvolutionError, match="involutive"):
+            fn(fc, perm)

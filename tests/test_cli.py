@@ -161,6 +161,13 @@ def test_samechar_reports_absence(capsys, tmp_path):
     assert out.strip() == "no witness"
 
 
+def test_samechar_refuses_an_involution_section(capsys, tmp_path):
+    f = tmp_path / "inv.char"
+    f.write_text("algebra: A2\nweights:\n1 0 1\n-1 1 1\n0 -1 1\ninvolution:\n0 1\n1 0\n",
+                 encoding="utf-8")
+    assert run(capsys, "samechar", str(f), str(f)) == (2, "", "error: line 6: non-integer entry\n")
+
+
 def test_factorize_grid(capsys, tmp_path):
     f = tmp_path / "grid.mset"
     rows = [f"{x} {y} 1" for x in range(2) for y in range(3)]

@@ -2,10 +2,10 @@
 
 A single query runs in a fresh interpreter, and its time is mostly import
 time.  `dataclasses` pulls in `inspect` (about 12 ms together), `fractions`
-about 4 ms more and `json` about 3 ms, so none of them is on the path of a
-query that does not need it.  Each check compares against a bare
-interpreter's modules, so a module that `site` already loads does not count
-against the library.
+about 4 ms more, `json` about 3 ms and `charlattice.linalg` about 3 ms, so
+none of them is on the path of a query that does not need it.  Each check
+compares against a bare interpreter's modules, so a module that `site`
+already loads does not count against the library.
 """
 
 import ast
@@ -21,6 +21,9 @@ SRC = ROOT / "src"
 # The module names go to stderr, one a line, so that the probe itself loads
 # nothing and a command run in stmt keeps stdout to itself.
 LOADED = "import sys{stmt}; print(*sorted(sys.modules), sep='\\n', file=sys.stderr)"
+
+
+DIM_QUERY = 'from charlattice.verifycli.cli import main; assert main(["dim", "E8", "w1"]) == 0'
 
 
 @functools.cache
@@ -44,10 +47,15 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions():
 
 def test_text_query_loads_no_json():
     bare = modules_after("")
-    query = modules_after('from charlattice.verifycli.cli import main; '
-                          'assert main(["dim", "E8", "w1"]) == 0')
+    query = modules_after(DIM_QUERY)
     assert "charlattice.reps" in query
     assert "json" not in query - bare
+
+
+def test_dim_query_loads_no_linear_algebra():
+    query = modules_after(DIM_QUERY)
+    assert "charlattice.rootsys" in query
+    assert "charlattice.linalg" not in query
 
 
 def test_every_module_loads_without_dataclasses():

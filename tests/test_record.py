@@ -25,10 +25,9 @@ from charlattice.goursat import GoursatError, GoursatSpec, verify_goursat_lemma
 from charlattice.reps import (AlgebraMismatchError, FormalCharacter, HighestWeight,
                               SemisimpleAlgebra, irreducible_character,
                               multiplicity_free_catalog)
-from charlattice.rootsys import (CartanTypeError, LatticeInvolution, SimpleType,
-                                 build_root_system, equal_rank_subsystems)
+from charlattice.rootsys import (CartanTypeError, SimpleType, build_root_system,
+                                 equal_rank_subsystems)
 from charlattice.verifycli.cases import CaseReport, Step, allowed_pairs
-from charlattice.verifycli.charfile import CharacterFile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,7 +68,7 @@ def samples() -> dict[str, list[tuple]]:
     alg = SemisimpleAlgebra((a2,))
     std = irreducible_character(alg, (1, 0))
     dual = irreducible_character(alg, (0, 1))
-    swap = LatticeInvolution(((0, 1), (1, 0)))
+    swap = (1, 0)
     z2 = AbGroup(1, 2)
     m1 = GroupMultiset.from_iterable(z2, [(0, (0, 0)), (0, (1, 0))])
     m2 = GroupMultiset.from_iterable(z2, [(0, (0, 0)), (0, (0, 1)), (0, (0, 1))])
@@ -78,7 +77,6 @@ def samples() -> dict[str, list[tuple]]:
         "SimpleType": [a2, b2, SimpleType("E", 8), SimpleType("A", 10)],
         "RootSystem": [build_root_system(a2), build_root_system(b2)],
         "Subsystem": list(equal_rank_subsystems(b2)),
-        "LatticeInvolution": [LatticeInvolution(((1, 0), (0, 1))), swap],
         "SemisimpleAlgebra": [alg, SemisimpleAlgebra((a2, b2))],
         "HighestWeight": [HighestWeight(((1, 0),)), HighestWeight(((0, 1), (2, 0)))],
         "FormalCharacter": [std, dual],
@@ -99,7 +97,6 @@ def samples() -> dict[str, list[tuple]]:
                        CaseReport("c", (("k", "5"),), (step,), (("n", "1"),))],
         "AllowedPair": list(allowed_pairs(10).pairs)[:2],
         "AllowedPairsReport": [allowed_pairs(10), allowed_pairs(28)],
-        "CharacterFile": [CharacterFile(std), CharacterFile(std, swap)],
     }
     return {name: [fields_of(x) for x in objs] for name, objs in built.items()}
 
@@ -116,7 +113,6 @@ REJECTED = [
     ("FormalCharacter", (SemisimpleAlgebra((A1,)), (((1, 0), 1),)), AlgebraMismatchError),
     ("FormalCharacter", (SemisimpleAlgebra((A1,)), (((1,), 0),)), ValueError),
     ("AbGroup", (0, 1), ValueError),
-    ("LatticeInvolution", (((1, 1), (0, 1)),), ValueError),
     ("GoursatSpec", ((A1, A1), ((0,),)), GoursatError),
 ]
 
@@ -243,7 +239,6 @@ def test_generated_init_has_a_signature():
     import inspect
 
     assert str(inspect.signature(CaseReport)) == "(case_id, inputs, steps, notes=())"
-    assert str(inspect.signature(CharacterFile)) == "(character, involution=None)"
     assert CaseReport.__init__.__qualname__ == "CaseReport.__init__"
 
 

@@ -15,13 +15,15 @@ from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
 from ambient_oracle import pairing as ambient_pairing
 from charlattice import rootsys
-from charlattice.reps import HighestWeight, SemisimpleAlgebra, weyl_dimension
+from charlattice.reps import (HighestWeight, SemisimpleAlgebra, enumerate_irreps_up_to_dim,
+                              irreducible_character, weyl_dimension)
 from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, ClassificationError,
-                                 LatticeInvolution, SimpleType, build_root_system,
+                                 SimpleType, build_root_system,
                                  classify_simple_system, coroot,
                                  diagram_automorphisms, dominant_representative,
                                  equal_rank_subsystems, pairing, reflect_coords,
                                  type_a_equal_rank, weyl_orbit)
+import subsystem_oracle
 from weyl_character_oracle import orbit_closure, reflect, weyl_group_order
 
 ALL_TYPES = [
@@ -393,6 +395,27 @@ def test_equal_rank_subsystem_signatures(name):
         assert sum(t.rank for t in s.component_types) == rs.rank
 
 
+CLASSICAL_SUBSYSTEM_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 15)]
+    + [f"C{n}" for n in range(3, 15)] + [f"D{n}" for n in range(4, 15)])
+
+
+@pytest.mark.parametrize("name", CLASSICAL_SUBSYSTEM_TYPES)
+def test_classical_subsystems_match_the_closed_form(name):
+    stype = SimpleType.parse(name)
+    expected = subsystem_oracle.signatures(stype)
+    assert len(set(expected)) == len(expected)
+    found = [s.signature for s in equal_rank_subsystems(stype)]
+    assert len(set(found)) == len(found)
+    assert set(found) == set(expected)
+
+
+def test_closed_form_gives_the_recorded_subsystem_counts():
+    counts = {"B16": 231, "B20": 627, "C20": 627, "B24": 1575}
+    assert {name: len(set(subsystem_oracle.signatures(SimpleType.parse(name))))
+            for name in counts} == counts
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_subsystem_blocks_have_standard_cartan_matrices(name):
     """Each block of selected_roots is in the standard numbering of its type,
@@ -431,25 +454,55 @@ def test_diagram_automorphism_counts():
         assert len(diagram_automorphisms(SimpleType.parse(name))) == count
 
 
+def permuted(perm, w):
+    return tuple(w[p] for p in perm)
+
+
 def test_a3_flip_swaps_std_and_dual():
     auts = diagram_automorphisms(SimpleType.parse("A3"))
-    flip = next(inv for inv in auts if inv.order == 2)
-    assert flip.apply((1, 0, 0)) == (0, 0, 1)
-    assert flip.apply((0, 1, 0)) == (0, 1, 0)
+    flip = next(perm for perm in auts if perm != (0, 1, 2))
+    assert permuted(flip, (1, 0, 0)) == (0, 0, 1)
+    assert permuted(flip, (0, 1, 0)) == (0, 1, 0)
 
 
 def test_e6_flip_swaps_minuscule_pair():
     auts = diagram_automorphisms(SimpleType.parse("E6"))
-    flip = next(inv for inv in auts if inv.order == 2)
-    assert flip.apply((1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
-    assert flip.apply((0, 0, 1, 0, 0, 0)) == (0, 0, 0, 0, 1, 0)
-    assert flip.apply((0, 1, 0, 0, 0, 0)) == (0, 1, 0, 0, 0, 0)
+    flip = next(perm for perm in auts if perm != tuple(range(6)))
+    assert permuted(flip, (1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 1)
+    assert permuted(flip, (0, 0, 1, 0, 0, 0)) == (0, 0, 0, 0, 1, 0)
+    assert permuted(flip, (0, 1, 0, 0, 0, 0)) == (0, 1, 0, 0, 0, 0)
 
 
-def test_lattice_involution_validation():
-    with pytest.raises(ValueError):
-        LatticeInvolution(((1, 1), (0, 1)))  # squares to a shear, not identity
-    neg = LatticeInvolution(((-1, 0, 0), (0, -1, 0), (0, 0, -1)))
-    assert neg.apply((1, -2, 5)) == (-1, 2, -5)
-    assert neg.order == 2
-    assert LatticeInvolution.identity(2).order == 1
+AUTOMORPHISM_TYPES = (
+    [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", AUTOMORPHISM_TYPES)
+def test_diagram_automorphisms_are_involutions_preserving_the_cartan_matrix(name):
+    stype = SimpleType.parse(name)
+    n = stype.rank
+    cartan = build_root_system(stype).cartan_matrix
+    perms = diagram_automorphisms(stype)
+    assert perms[0] == tuple(range(n))
+    assert len(set(perms)) == len(perms)
+    for perm in perms:
+        assert sorted(perm) == list(range(n))
+        assert permuted(perm, perm) == tuple(range(n))
+        assert all(cartan[perm[i]][perm[j]] == cartan[i][j]
+                   for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4", "D5", "E6"])
+def test_diagram_automorphisms_carry_each_irreducible_to_its_image(name):
+    """Permuting the weights of V(lambda) gives the weights of V(perm lambda),
+    for every irreducible up to dimension 64."""
+    alg = SemisimpleAlgebra.parse(name)
+    irreps = enumerate_irreps_up_to_dim(alg, 64)
+    assert len(irreps) >= 3  # E6: the trivial character, 27 and its dual
+    for perm in diagram_automorphisms(alg.factors[0])[1:]:
+        for hw, _ in irreps:
+            fc = irreducible_character(alg, hw.flat())
+            image = irreducible_character(alg, permuted(perm, hw.flat()))
+            assert {permuted(perm, w): m for w, m in fc.weights} == image.counts()
