@@ -7,7 +7,7 @@ class's annotations, in the order they are written: a positional and keyword
 `__init__` that honours class-level defaults and calls `__post_init__`;
 `__eq__` over the field tuple that returns NotImplemented across classes;
 `__hash__` of the field tuple, so set and dict orders match the dataclass
-ones; the dataclass `__repr__` unless the class has its own; `__setattr__`
+ones; the dataclass `__repr__`; `__setattr__`
 and `__delattr__` that raise AttributeError; and, with order=True, the four
 comparisons over the field tuple.
 
@@ -53,8 +53,6 @@ def _build(cls, order):
                            f"    if other.__class__ is self.__class__:\n"
                            f"        return {mine} {op} {theirs}\n"
                            f"    return NotImplemented")
-    if "__repr__" in cls.__dict__:
-        del methods["__repr__"]
     namespace = {"_set": object.__setattr__, **defaults}
     exec("\n".join(f"def {m}{src}" for m, src in methods.items()), namespace)
     for method in methods:

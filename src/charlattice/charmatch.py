@@ -322,15 +322,6 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
                          bound_ok=bound_ok)
 
 
-@record
-class ConjugationMultiset:
-    """The multiset of sums w + perm(w) over a character's weights."""
-
-    base: FormalCharacter
-    perm: Coords
-    sums: FormalCharacter
-
-
 def _permuted_counts(fc: FormalCharacter, perm: Coords, sign: int) -> dict[Coords, int]:
     """The counts of sign * perm(w) over the weights w, after checking that
     perm is a permutation of fc's coordinates that squares to the identity."""
@@ -345,7 +336,7 @@ def _permuted_counts(fc: FormalCharacter, perm: Coords, sign: int) -> dict[Coord
     return out
 
 
-def conjugation_sums(fc: FormalCharacter, perm: Coords) -> ConjugationMultiset:
+def conjugation_sums(fc: FormalCharacter, perm: Coords) -> FormalCharacter:
     """Multiset {w + perm(w)} for a diagram involution perm of the fundamental
     coordinates; perm must carry the multiset onto itself or its negation."""
     counts = fc.counts()
@@ -356,11 +347,7 @@ def conjugation_sums(fc: FormalCharacter, perm: Coords) -> ConjugationMultiset:
     for w, m in fc.weights:
         s = tuple(w[i] + w[p] for i, p in enumerate(perm))
         sums[s] = sums.get(s, 0) + m
-    return ConjugationMultiset(
-        base=fc,
-        perm=perm,
-        sums=FormalCharacter.from_counts(fc.algebra, sums),
-    )
+    return FormalCharacter.from_counts(fc.algebra, sums)
 
 
 def fixed_point_exists(fc: FormalCharacter, perm: Coords) -> bool:
@@ -374,7 +361,6 @@ def fixed_point_exists(fc: FormalCharacter, perm: Coords) -> bool:
 __all__ = [
     "AltPowerStats",
     "CharIsomorphism",
-    "ConjugationMultiset",
     "DegenerateFormError",
     "MaxNormRecord",
     "NonCompatibleInvolutionError",

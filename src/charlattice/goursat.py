@@ -24,47 +24,13 @@ class TooManyFactorsError(GoursatError):
 MAX_FACTORS = 6
 
 
-@record
-class GoursatSpec:
-    """factors with a partition into diagonal blocks; indices are 0-based."""
-
-    factors: tuple[SimpleType, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen = sorted(i for block in self.blocks for i in block)
-        if seen != list(range(len(self.factors))):
-            raise GoursatError("blocks must partition the factor indices")
-        for block in self.blocks:
-            if not block:
-                raise GoursatError("empty block")
-            types = {self.factors[i] for i in block}
-            if len(types) > 1:
-                raise GoursatError(
-                    f"block {block} mixes types "
-                    f"{sorted(str(t) for t in types)}; diagonals need equal types")
-
-    @classmethod
-    def make(cls, factors, blocks) -> "GoursatSpec":
-        norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        return cls(factors=tuple(factors), blocks=norm)
-
-    @property
-    def is_full(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-
-def goursat_rank(spec: GoursatSpec) -> int:
-    """Rank of the subalgebra: one representative rank per diagonal block."""
-    return sum(spec.factors[block[0]].rank for block in spec.blocks)
-
-
 def _compatible_partitions(factors: tuple[SimpleType, ...]):
-    """All partitions of the index set whose blocks have a single type."""
+    """All partitions of the index set whose blocks have a single type, each
+    once, as a tuple of 0-based index blocks ordered by their least index."""
 
     def grow(i: int, blocks: list[list[int]]):
         if i == len(factors):
-            yield [tuple(b) for b in blocks]
+            yield tuple(tuple(b) for b in blocks)
             return
         for b in blocks:
             if factors[b[0]] == factors[i]:
@@ -80,18 +46,19 @@ def _compatible_partitions(factors: tuple[SimpleType, ...]):
 
 @record
 class GoursatReport:
-    factors: tuple[SimpleType, ...]
     specs_checked: int
-    counterexamples: tuple[GoursatSpec, ...]
+    counterexamples: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def verify_goursat_lemma(factors) -> GoursatReport:
     """Check over every compatible partition that full rank forces full product.
 
-    A counterexample would be a spec whose rank equals the sum of the factor
-    ranks without all blocks being singletons, or a singleton-block spec whose
-    rank falls short; none exist, and the report proves it exhaustively for
-    the given factor list.
+    The subalgebra of a partition has one representative rank per diagonal
+    block.  A counterexample, reported as its tuple of blocks, would be a
+    partition whose rank equals the sum of the factor ranks without all blocks
+    being singletons, or an all-singleton partition whose rank falls short;
+    none exist, and the report proves it exhaustively for the given factor
+    list.
     """
     fac = tuple(factors)
     if not fac:
@@ -101,11 +68,10 @@ def verify_goursat_lemma(factors) -> GoursatReport:
             f"{len(fac)} factors exceed the exhaustive bound {MAX_FACTORS}")
     full_rank = sum(t.rank for t in fac)
     checked = 0
-    bad: list[GoursatSpec] = []
+    bad = []
     for blocks in _compatible_partitions(fac):
-        spec = GoursatSpec.make(fac, blocks)
         checked += 1
-        if (goursat_rank(spec) == full_rank) != spec.is_full:
-            bad.append(spec)
-    return GoursatReport(factors=fac, specs_checked=checked,
-                         counterexamples=tuple(bad))
+        rank = sum(fac[block[0]].rank for block in blocks)
+        if (rank == full_rank) != (len(blocks) == len(fac)):
+            bad.append(blocks)
+    return GoursatReport(specs_checked=checked, counterexamples=tuple(bad))

@@ -212,7 +212,7 @@ def case_e6_parity() -> Outcome:
             "an involution of an odd finite set fixes a point")
     st.check("zero is not a weight", fc.multiplicity((0,) * 6), 0,
              "minuscule orbit avoids the origin")
-    sums = conjugation_sums(fc, delta).sums
+    sums = conjugation_sums(fc, delta)
     st.hold("zero occurs among the conjugation sums w + delta(w)",
             sums.multiplicity((0,) * 6) >= 1,
             "each fixed point of the self-conjugacy map contributes zero")
@@ -273,27 +273,19 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     return out
 
 
-# Rank tuple -> its coordinate symmetries, built on first use.
-_SYMMETRIES: dict[tuple[int, ...], list[Coords]] = {}
-
-
 def _coordinate_symmetries(ranks: tuple[int, ...]) -> list[Coords]:
     """The diagram symmetries of A_ranks[0] + A_ranks[1] + ... as permutations
     perm of the flat fundamental coordinates, x -> tuple(x[p] for p in perm):
     block j of the image is the block of a factor of rank ranks[j], permuted
     by a diagram automorphism of A_ranks[j] (rootsys.diagram_automorphisms):
     the identity or, for rank >= 2, the reversal lambda -> lambda*."""
-    syms = _SYMMETRIES.get(ranks)
-    if syms is None:
-        starts = list(itertools.accumulate(ranks[:-1], initial=0))
-        orders = [order for order in itertools.permutations(range(len(ranks)))
-                  if all(ranks[i] == r for i, r in zip(order, ranks))]
-        flips = list(itertools.product(*[diagram_automorphisms(SimpleType("A", r))
-                                          for r in ranks]))
-        syms = _SYMMETRIES[ranks] = [
-            tuple(starts[i] + p for i, perm in zip(order, flip) for p in perm)
+    starts = list(itertools.accumulate(ranks[:-1], initial=0))
+    orders = [order for order in itertools.permutations(range(len(ranks)))
+              if all(ranks[i] == r for i, r in zip(order, ranks))]
+    flips = list(itertools.product(*[diagram_automorphisms(SimpleType("A", r))
+                                      for r in ranks]))
+    return [tuple(starts[i] + p for i, perm in zip(order, flip) for p in perm)
             for order in orders for flip in flips]
-    return syms
 
 
 def case_so_selfdual(m: int) -> Outcome:
@@ -395,11 +387,11 @@ def case_so2m_conj_zero(m: int) -> Outcome:
     st.hold("the coordinate swap is a diagram automorphism",
             swap in diagram_automorphisms(SimpleType("D", m)),
             "fork symmetry of the even orthogonal diagram")
-    record = conjugation_sums(fc, swap)
+    sums = conjugation_sums(fc, swap)
     st.check("zero appears among the sums with multiplicity exactly 2",
-             record.sums.multiplicity((0,) * m), 2,
+             sums.multiplicity((0,) * m), 2,
              "only the swapped coordinate pair cancels")
-    st.check("the sum multiset has 2m members", record.sums.size, 2 * m,
+    st.check("the sum multiset has 2m members", sums.size, 2 * m,
              "one sum per weight")
     return st.done()
 
@@ -505,7 +497,7 @@ def case_goursat(factors: str) -> Outcome:
     report = verify_goursat_lemma(fac)
     st = _Steps()
     st.check("rank equality occurs only at the all-singleton partition",
-             [str(s.blocks) for s in report.counterexamples], [],
+             [str(blocks) for blocks in report.counterexamples], [],
              "exhaustive sweep over type-compatible partitions")
     st.hold("at least one partition was examined", report.specs_checked >= 1,
             "partition enumeration")
@@ -610,21 +602,22 @@ def allowed_pairs(n: int) -> AllowedPairsReport:
     if n % 4 == 0:
         reasons.append("4 divides n")
 
-    stypes: list[SimpleType] = []
-    stypes += [SimpleType("A", m) for m in range(1, max(n, 2))]
-    half = (n - 1) // 2
-    log2 = n.bit_length()
-    stypes += [SimpleType("B", m) for m in range(2, max(half, log2) + 1)]
-    stypes += [SimpleType("C", m) for m in range(3, n // 2 + 1)]
-    stypes += [SimpleType("D", m) for m in range(4, max(n // 2, log2 + 1) + 1)]
-    stypes += [SimpleType("E", 6), SimpleType("E", 7), SimpleType("G", 2)]
-
     pairs = []
-    for stype in stypes:
-        for entry in multiplicity_free_catalog(stype, max_dim=n):
-            if entry.dim == n:
-                pairs.append(AllowedPair(stype, entry.hw, entry.dim,
-                                         entry.label, _note_for(entry.label)))
+
+    def admit(stype: SimpleType) -> bool:
+        """Add stype's entries of dimension n; whether it has any up to n."""
+        entries = multiplicity_free_catalog(stype, max_dim=n)
+        pairs.extend(AllowedPair(stype, e.hw, e.dim, e.label, _note_for(e.label))
+                     for e in entries if e.dim == n)
+        return bool(entries)
+
+    # Each family's smallest catalog dimension grows with the rank, so the
+    # first rank with no entry up to n ends the family.
+    for family, m in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+        while admit(SimpleType(family, m)):
+            m += 1
+    for stype in (SimpleType("E", 6), SimpleType("E", 7), SimpleType("G", 2)):
+        admit(stype)
     pairs.sort(key=lambda p: (p.stype.family, p.stype.rank, p.hw))
     return AllowedPairsReport(n=n, gate_reasons=tuple(reasons),
                               pairs=tuple(pairs))

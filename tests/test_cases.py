@@ -1,7 +1,8 @@
 """Helpers of the verification cases against their unpruned references, the
 count of candidate sums against a generating function, the matching search's
 invariant check against the Gram search alone on every so-selfdual
-candidate, and the coordinate symmetries so-selfdual shares verdicts by."""
+candidate, the coordinate symmetries so-selfdual shares verdicts by, and the
+catalog gate's pairs against a closed-form listing."""
 
 import itertools
 import math
@@ -19,7 +20,8 @@ from charlattice.reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli.cases import (_CASES, _SO_STD, CaseError, _coordinate_symmetries,
-                                         _faithful_sums, _partitions, default_suite, run_case)
+                                         _faithful_sums, _partitions, allowed_pairs,
+                                         default_suite, run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -337,3 +339,46 @@ def test_sym_power_joint_bound_is_the_character_size(n, a):
     label, form, limit = _CASES["sym-power-rigidity"].joint
     assert form(n=n, a=a) == dim
     assert (dim <= limit) == ((n, a) != (40, 4))
+
+
+def closed_form_catalog(bound: int) -> dict[int, set]:
+    """dim -> {(type, hw, dim)} for every multiplicity-free irreducible of
+    dimension at most bound, listed from the closed-form dimensions alone."""
+    out: dict[int, set] = {}
+
+    def put(stype: str, rank: int, node: int, dim: int, coeff: int = 1) -> None:
+        if dim <= bound:
+            hw = tuple(coeff if i == node else 0 for i in range(rank))
+            out.setdefault(dim, set()).add((stype, hw, dim))
+
+    for m in range(1, bound):  # std of A_m has dimension m + 1
+        for b in range(1, m + 1):  # alt^b, std and std* among them
+            put(f"A{m}", m, b - 1, math.comb(m + 1, b))
+        a = 2
+        while math.comb(m + a, a) <= bound:  # sym^a of std and of std*
+            put(f"A{m}", m, 0, math.comb(m + a, a), a)
+            put(f"A{m}", m, m - 1, math.comb(m + a, a), a)
+            a += 1
+    for m in range(2, bound):
+        put(f"B{m}", m, 0, 2 * m + 1)
+        put(f"B{m}", m, m - 1, 2 ** m)
+    for m in range(3, bound):
+        put(f"C{m}", m, 0, 2 * m)
+    put("C3", 3, 2, 14)
+    for m in range(4, bound):
+        put(f"D{m}", m, 0, 2 * m)
+        put(f"D{m}", m, m - 2, 2 ** (m - 1))
+        put(f"D{m}", m, m - 1, 2 ** (m - 1))
+    put("E6", 6, 0, 27)
+    put("E6", 6, 5, 27)
+    put("E7", 7, 6, 56)
+    put("G2", 2, 0, 7)
+    return out
+
+
+def test_allowed_pairs_match_a_closed_form_listing():
+    listing = closed_form_catalog(200)
+    for n in range(1, 201):
+        pairs = allowed_pairs(n).pairs
+        got = [(str(p.stype), p.hw, p.dim) for p in pairs]
+        assert len(set(got)) == len(got) and set(got) == listing.get(n, set()), n

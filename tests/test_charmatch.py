@@ -526,13 +526,13 @@ def test_max_norm_nonspanning():
 
 def test_conjugation_sums_identity_doubles():
     fc = char("A1", (2,))
-    sums = conjugation_sums(fc, (0,)).sums
+    sums = conjugation_sums(fc, (0,))
     assert sums.counts() == {(-4,): 1, (0,): 1, (4,): 1}
 
 
 def test_conjugation_sums_under_the_a2_flip():
     fc = char("A2", (1, 0))  # the flip carries Std onto its negation
-    sums = conjugation_sums(fc, (1, 0)).sums
+    sums = conjugation_sums(fc, (1, 0))
     assert sums.counts() == {(1, 1): 1, (0, 0): 1, (-1, -1): 1}
     assert fixed_point_exists(fc, (1, 0))  # (-1, 1) = -flip(-1, 1)
 

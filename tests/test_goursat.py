@@ -1,12 +1,13 @@
-"""Rank bookkeeping for full-projection subalgebras of products."""
+"""Rank bookkeeping for full-projection subalgebras of products, and the
+enumeration of type-compatible partitions against a brute-force one."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from charlattice.goursat import (MAX_FACTORS, GoursatError, GoursatSpec,
-                                 TooManyFactorsError, goursat_rank,
-                                 verify_goursat_lemma)
+from charlattice.goursat import (MAX_FACTORS, GoursatError, TooManyFactorsError,
+                                 _compatible_partitions, verify_goursat_lemma)
 from charlattice.rootsys import SimpleType
 from charlattice.verifycli.cases import run_case
 
@@ -15,35 +16,38 @@ def types(*names):
     return tuple(SimpleType.parse(n) for n in names)
 
 
-def test_diagonal_pair_has_rank_one():
-    spec = GoursatSpec.make(types("A1", "A1"), [(0, 1)])
-    assert goursat_rank(spec) == 1
-    assert not spec.is_full
+def brute_partitions(k: int) -> list[frozenset]:
+    """Every set partition of range(k), from its restricted growth strings:
+    label sequences whose first use of each label comes in increasing order."""
+    out = []
+    for labels in itertools.product(range(k), repeat=k):
+        if all(labels[i] <= max(labels[:i], default=-1) + 1 for i in range(k)):
+            out.append(frozenset(frozenset(i for i in range(k) if labels[i] == b)
+                                 for b in set(labels)))
+    return out
 
 
-def test_singletons_have_full_rank():
-    spec = GoursatSpec.make(types("A1", "A1"), [(0,), (1,)])
-    assert goursat_rank(spec) == 2
-    assert spec.is_full
+def test_compatible_partitions_yield_each_equal_type_partition_once():
+    universe = types("A1", "A2", "G2")  # A2 and G2 share a rank, not a type
+    for k in range(1, MAX_FACTORS + 1):
+        every = brute_partitions(k)
+        for fac in itertools.product(universe, repeat=k):
+            got = list(_compatible_partitions(fac))
+            for blocks in got:  # ordered as case_goursat prints them
+                assert blocks == tuple(sorted(tuple(sorted(b)) for b in blocks)), blocks
+            keys = [frozenset(map(frozenset, blocks)) for blocks in got]
+            assert len(set(keys)) == len(keys), fac
+            assert set(keys) == {p for p in every
+                                 if all(len({fac[i] for i in b}) == 1 for b in p)}, fac
 
 
-def test_mixed_blocks_example():
-    spec = GoursatSpec.make(types("A2", "A2", "A3"), [(0, 1), (2,)])
-    assert goursat_rank(spec) == 5
-
-
-def test_blocks_must_partition():
-    with pytest.raises(GoursatError):
-        GoursatSpec.make(types("A1", "A1"), [(0,)])
-    with pytest.raises(GoursatError):
-        GoursatSpec.make(types("A1", "A1"), [(0, 1), (1,)])
-
-
-def test_blocks_must_not_mix_types():
-    with pytest.raises(GoursatError):
-        GoursatSpec.make(types("A1", "A2"), [(0, 1)])
-    with pytest.raises(GoursatError):
-        GoursatSpec.make(types("A2", "B2"), [(0, 1)])
+def test_a_diagonal_of_full_rank_is_reported():
+    """The check can fail: on a stand-in factor of rank 0, the diagonal of two
+    copies keeps the full rank 0 without being the full product."""
+    ghost = SimpleNamespace(rank=0)
+    report = verify_goursat_lemma([ghost, ghost])
+    assert report.counterexamples == (((0, 1),),)
+    assert report.specs_checked == 2
 
 
 def test_mixed_type_list_only_splits_apart():
@@ -63,14 +67,6 @@ def test_bell_number_of_partitions_for_equal_types():
     # 3 equal factors admit 5 partitions, 4 equal factors admit 15
     assert verify_goursat_lemma(types("A1", "A1", "A1")).specs_checked == 5
     assert verify_goursat_lemma(types("A1", "A1", "A1", "A1")).specs_checked == 15
-
-
-def test_merging_blocks_strictly_drops_rank():
-    fac = types("A2", "A2", "A2")
-    full = goursat_rank(GoursatSpec.make(fac, [(0,), (1,), (2,)]))
-    merged_once = goursat_rank(GoursatSpec.make(fac, [(0, 1), (2,)]))
-    merged_all = goursat_rank(GoursatSpec.make(fac, [(0, 1, 2)]))
-    assert full > merged_once > merged_all
 
 
 def test_factor_count_cap():
