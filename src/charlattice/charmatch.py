@@ -41,12 +41,17 @@ def _moment_matrix(weighted, dim: int) -> list[list[int]]:
     """Sum of mult * v v^T over the (v, mult) pairs, v of length dim."""
     m = [[0] * dim for _ in range(dim)]
     for v, mult in weighted:
-        for i in range(dim):
-            if v[i]:
-                for j in range(dim):
-                    if v[j]:
-                        m[i][j] += mult * v[i] * v[j]
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
+        for i, x in nonzero:
+            for j, y in nonzero:
+                m[i][j] += mult * x * y
     return m
+
+
+def _form_entry(adj: Mat, x: Coords, y: Coords) -> int:
+    """x adj y, summed over the nonzero coordinates of x and y only."""
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    return sum(a * sum(adj[i][j] * b for j, b in ys) for i, a in enumerate(x) if a)
 
 
 def char_inner_product(fc: FormalCharacter) -> Mat:
@@ -126,12 +131,11 @@ class _MatchData:
         self.invariants = _invariants(fc.weights)
 
     @cached_property
-    def form(self) -> tuple[int, Mat, list[Coords], Mat, list[int]]:
+    def form(self) -> tuple[int, Mat, list[Coords], list[int]]:
         """det(M) > 0 and adj(M) for the induced form M on the weights' span,
-        the span coordinates C of the distinct weights, the rows of C adj(M)
-        and the integer norms c adj(M) c.  The Gram entry of weights i and k
-        is the dot of row i of C adj(M) with row k of C, over det(M); no
-        n x n matrix is built.
+        the span coordinates C of the distinct weights and their integer
+        norms c adj(M) c.  A Gram entry is _form_entry(adj(M), c_i, c_k) over
+        det(M), computed where the search reads it; nothing n x n is built.
 
         With p the pivot columns of the distinct-weight matrix and R the rows
         of its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so
@@ -146,13 +150,12 @@ class _MatchData:
         pivots = linalg.pivot_columns(full)
         coords = [tuple(w[p] for p in pivots) for w, _ in self.weights]
         det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
-        left = linalg.matmul(coords, adj)
-        return det, adj, coords, left, [linalg.dot(x, c) for x, c in zip(left, coords)]
+        return det, adj, coords, [_form_entry(adj, c, c) for c in coords]
 
     def faithful_form(self) -> tuple[int, Mat, list[int]]:
         """det(M), adj(M) in fundamental coordinates and the integer norms of
         `form`; raises DegenerateFormError unless the character is faithful."""
-        det, adj, _, _, norms = self.form
+        det, adj, _, norms = self.form
         if len(adj) != self.rank:
             split = [self.algebra.split_coords(w) for w, _ in self.weights]
             trivial = [str(st) for i, st in enumerate(self.algebra.factors)
@@ -164,7 +167,7 @@ class _MatchData:
     @cached_property
     def order(self) -> list[int]:
         """The distinct weights' indices in (norm, weight) order."""
-        norms, distinct = self.form[4], self.distinct
+        norms, distinct = self.form[3], self.distinct
         return sorted(range(len(distinct)), key=lambda i: (norms[i], distinct[i]))
 
     @cached_property
@@ -218,8 +221,8 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     d1, d2 = data1.distinct, data2.distinct
     if len(d1) != len(d2) or data1.invariants != data2.invariants:
         return None
-    det1, adj1, coords1, left1, norms1 = data1.form
-    det2, adj2, coords2, left2, norms2 = data2.form
+    det1, adj1, coords1, norms1 = data1.form
+    det2, adj2, coords2, norms2 = data2.form
     # Norms and Gram entries are integers over each side's det(M): compare
     # them across the sides by cross-multiplying.
     keys1 = [(m, x * det2) for m, x in zip(data1.mults, norms1)]
@@ -240,10 +243,10 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
         i = order1[p]
         a = coeffs.get(p)
         if a is None:  # a basis position
-            prior = picked[:picked.index(p)]
-            want = [linalg.dot(left1[i], coords1[order1[k]]) * det2 for k in prior]
+            want = [(_form_entry(adj1, coords1[i], coords1[order1[k]]) * det2, coords2[placed[k]])
+                    for k in picked[:picked.index(p)]]
             yield from (j for j in targets.get(keys1[i], ()) if j not in placed and all(
-                linalg.dot(left2[j], coords2[placed[k]]) * det1 == g for k, g in zip(prior, want)))
+                _form_entry(adj2, coords2[j], c) * det1 == g for g, c in want))
             return
         # The forced image T(w); only the zero weight precedes every basis weight.
         cols = list(zip(*(d2[placed[k]] for k in picked[:len(a)]))) or [()] * data1.rank
@@ -324,23 +327,19 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
 
 def _permuted_counts(fc: FormalCharacter, perm: Coords, sign: int) -> dict[Coords, int]:
     """The counts of sign * perm(w) over the weights w, after checking that
-    perm is a permutation of fc's coordinates that squares to the identity."""
+    perm is an involutive permutation of fc's coordinates, so w -> perm(w) is 1-1."""
     if len(perm) != fc.algebra.rank:
         raise NonCompatibleInvolutionError("involution rank does not match the algebra")
     if sorted(perm) != list(range(len(perm))) or any(perm[p] != i for i, p in enumerate(perm)):
         raise NonCompatibleInvolutionError(f"{perm} is not an involutive coordinate permutation")
-    out: dict[Coords, int] = {}
-    for w, m in fc.weights:
-        im = tuple(sign * w[p] for p in perm)
-        out[im] = out.get(im, 0) + m
-    return out
+    return {tuple(sign * w[p] for p in perm): m for w, m in fc.weights}
 
 
 def conjugation_sums(fc: FormalCharacter, perm: Coords) -> FormalCharacter:
     """Multiset {w + perm(w)} for a diagram involution perm of the fundamental
     coordinates; perm must carry the multiset onto itself or its negation."""
-    counts = fc.counts()
-    if _permuted_counts(fc, perm, 1) != counts and _permuted_counts(fc, perm, -1) != counts:
+    counts, image = fc.counts(), _permuted_counts(fc, perm, 1)
+    if image != counts and image != {tuple(map(neg, w)): m for w, m in counts.items()}:
         raise NonCompatibleInvolutionError(
             "involution maps the weight multiset neither to itself nor to its negation")
     sums: dict[Coords, int] = {}

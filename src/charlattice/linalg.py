@@ -1,14 +1,13 @@
-"""Small exact linear algebra over the integers and the rationals.
+"""Small exact linear algebra on integer matrices.
 
-Vectors are tuples of ints or Fractions, matrices are tuples of row vectors.
-Everything rests on one fraction-free elimination and is exact; nothing ever
-touches a float.  Fractions appear only in results that are rational by
+Vectors are tuples of ints, matrices are tuples of row vectors.  Everything
+rests on one fraction-free elimination of integer rows and is exact; nothing
+ever touches a float.  Fractions appear only in results that are rational by
 nature (inverses and solutions), never in the elimination itself.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -45,27 +44,22 @@ def identity(n: int) -> Mat:
 def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)).
 
-    Each row that holds a Fraction is first scaled by the least common
-    denominator of its entries, which changes no pivot; integer rows are
-    copied as they are.  Pivots are then taken left to right among the
-    first ncols columns (all columns by default), each from the first row at
-    or below the current one with a nonzero entry, and elimination stops once
-    every row has a pivot.  Every division is exact, because after k pivots
-    each entry is a k x k minor of the scaled rows.
+    The rows must hold ints only; any other entry raises TypeError.  Pivots
+    are taken left to right among the first ncols columns (all columns by
+    default), each from the first row at or below the current one with a
+    nonzero entry, and elimination stops once every row has a pivot.  Every
+    division is exact, because after k pivots each entry is a k x k minor of
+    the rows.
 
     Returns the integer rows, their pivot columns and d: row i has its pivot
     in column pivots[i], every pivot entry equals d, and dividing the rows by
     d gives the reduced row echelon form.  For a square nonsingular block, d
-    is the determinant of the scaled rows over the pivot columns (1 when
-    there are no pivots).
+    is the determinant of the rows over the pivot columns (1 when there are
+    no pivots).
     """
-    work = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            work.append(list(row))
-            continue
-        scale = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [list(row) for row in rows]
+    if not all(type(x) is int for row in work for x in row):
+        raise TypeError("elimination takes integer rows only")
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -116,9 +110,7 @@ def rank(rows: Sequence[Sequence]) -> int:
 def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, Mat]:
     """det(M) and adj(M) = det(M) M^-1 of a nonsingular integer matrix M.
 
-    Raises ValueError when M is singular.  For rational entries the pair is
-    (s det(M), s det(M) M^-1), s the product of the rows' least common
-    denominators.
+    Raises ValueError when M is singular.
     """
     n = len(m)
     work, pivots, d = _eliminate(
@@ -129,7 +121,7 @@ def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, Mat]:
 
 
 def invert(m: Sequence[Sequence]) -> Mat:
-    """Inverse of a square matrix, in Fractions; raises ValueError when singular."""
+    """Inverse of a square integer matrix, in Fractions; raises ValueError when singular."""
     from fractions import Fraction
 
     d, scaled = det_adjugate(m)
@@ -139,8 +131,9 @@ def invert(m: Sequence[Sequence]) -> Mat:
 def solve_columns(columns: Sequence[Sequence], target: Sequence) -> Vec | None:
     """Exact coefficients c with sum c_i * columns[i] = target, or None if inconsistent.
 
-    The columns may be an overdetermined spanning set of a subspace; when the
-    system is underdetermined the free coefficients are set to zero.
+    The columns and the target are integer vectors.  The columns may be an
+    overdetermined spanning set of a subspace; when the system is
+    underdetermined the free coefficients are set to zero.
     """
     from fractions import Fraction
 

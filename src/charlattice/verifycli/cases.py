@@ -662,10 +662,10 @@ _CASES: dict[str, Domain] = {
         joint=("rank of algebra",
                lambda algebra, hw: SemisimpleAlgebra.parse(algebra).rank, 20)),
     # sym^a of A_n has C(n+a, a) weights, and the root datum, the weights and
-    # the Weyl orbit all grow steeply in n (n = 300, a = 1 took 132 s).  At n
-    # = 40: a = 1 takes 0.11 s, a = 2 0.31 s, and a = 3 (12341 weights, the
-    # joint bound) 2.5-3.6 s; n = 3, a = 40 takes 0.25 s and n = 9, a = 7
-    # 0.47 s.
+    # the Weyl orbit all grow steeply in n (n = 300, a = 1 took 132 s).  In
+    # process at n = 40: a = 1 takes 0.07-0.10 s, a = 2 0.10-0.13 s, and a = 3
+    # (12341 weights, the joint bound) 0.56-1.04 s; n = 3, a = 40 takes
+    # 0.16-0.22 s and n = 9, a = 7 0.28-0.37 s.
     "sym-power-rigidity": Domain(
         case_sym_power_rigidity, {"n": (1, 3, 40), "a": (1, 2, 40)},
         joint=("C(n+a, a)", lambda n, a: math.comb(n + a, a), 12341)),

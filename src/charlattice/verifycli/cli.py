@@ -85,6 +85,10 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    # the bound is the only cap on the size of a Freudenthal run
+    if args.bound > DEFAULT_DIMENSION_BOUND:
+        raise UsageError(
+            f"bound {args.bound} exceeds the dimension bound {DEFAULT_DIMENSION_BOUND}")
     alg = SemisimpleAlgebra.parse(args.algebra)
     flat = _parse_hw(alg, args.weight)
     fc = irreducible_character(alg, flat, dim_bound=args.bound)
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("weight")
     p.add_argument("--bound", type=int, default=DEFAULT_DIMENSION_BOUND,
-                   help="refuse dimensions above this")
+                   help="refuse dimensions above this (at most the default)")
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("multfree", help="multiplicity-free catalog of a type")

@@ -145,6 +145,21 @@ def test_so_selfdual_searches_one_sum_per_symmetry_orbit(monkeypatch):
     assert [int(n["matches"]) for n in notes] == [2, 2, 4, 5, 11, 11, 28]
 
 
+def test_e6_parity_permutes_the_multiset_twice(monkeypatch):
+    """fixed_point_exists builds one image and conjugation_sums one, which it
+    compares with the counts and with their negation; the case's own step
+    builds its image inline."""
+    permuted, signs = charmatch._permuted_counts, []
+
+    def counting(fc, perm, sign):
+        signs.append(sign)
+        return permuted(fc, perm, sign)
+
+    monkeypatch.setattr(charmatch, "_permuted_counts", counting)
+    assert run_case("e6-parity").verdict
+    assert signs == [-1, 1]
+
+
 def type_a_dimensions(p: int, bound: int) -> list[int]:
     """Dimensions at most bound of the irreducibles of A_p (sl_(p+1)), by the
     hook-content formula on the partition with column lengths read off the

@@ -35,7 +35,7 @@ from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               irreducible_character, trivial_character)
 from charlattice.rootsys import SimpleType
 from test_linalg import reference_rref
-from test_reps import negate_character
+from test_reps import GRID_TYPES, negate_character, weight_multiset_grid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,15 +176,21 @@ def test_match_witnesses_golden():
 
 def test_search_and_norms_stay_in_integers(monkeypatch):
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
-    det, adj, coords, left, norms = charmatch._match_data(e7).form
+    det, adj, coords, norms = charmatch._match_data(e7).form
     assert len(adj) == 7 and type(det) is int and det > 0
-    assert all(type(x) is int for rows in (adj, coords, left) for row in rows for x in row)
+    assert all(type(x) is int for rows in (adj, coords) for row in rows for x in row)
     assert all(type(x) is int and x > 0 for x in norms)
-    # every dot product of the search, the witness check and the norms is an int
-    plain_dot = linalg.dot
+    # every dot product and form entry of the search, the witness check and
+    # the norms is an int
+    plain_dot, plain_entry = linalg.dot, charmatch._form_entry
 
     def int_dot(x, y):
         value = plain_dot(x, y)
+        assert type(value) is int
+        return value
+
+    def int_entry(adj, x, y):
+        value = plain_entry(adj, x, y)
         assert type(value) is int
         return value
 
@@ -192,6 +198,8 @@ def test_search_and_norms_stay_in_integers(monkeypatch):
         raise AssertionError("Fraction built inside the search")
 
     monkeypatch.setattr(linalg, "dot", int_dot)
+    monkeypatch.setattr(charmatch, "_form_entry", int_entry)
+    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
     assert len(max_norm_weights(char("A3", (2, 0, 0))).weights) == 4
     # the search, the witness and its check build no Fraction at all
     monkeypatch.setattr(charmatch, "Fraction", no_fraction)
@@ -204,25 +212,65 @@ def test_search_and_norms_stay_in_integers(monkeypatch):
     assert [[str(c) for c in row] for row in witness.matrix] == want["E7 w7 vs its negation"]
 
 
-@pytest.mark.parametrize("name,hw,dots", [
-    ("E6", (1, 0, 0, 0, 0, 1), 8561),  # 343 distinct weights of rank 6
-    ("A1", (1200,), 6003),  # 1201 distinct weights of rank 1
+def dense_moment_matrix(weighted, dim):
+    return [[sum(m * v[i] * v[j] for v, m in weighted) for j in range(dim)] for i in range(dim)]
+
+
+def dense_entry(adj, x, y):
+    """x adj y over every coordinate."""
+    return sum(a * sum(e * b for e, b in zip(row, y)) for a, row in zip(x, adj))
+
+
+def test_sparse_form_matches_dense_products():
+    """The moment matrix, the norms and every Gram entry among the search's
+    basis weights, summed over nonzero coordinates, equal the dense sums:
+    on the weight-multiset grid characters of at most 1000 distinct weights
+    (285 of 324, every grid type; the whole grid takes about 5 s) and on a
+    character of A1+A3 whose weights span a plane of the A3 factor."""
+    chars = [fc for fc in (irreducible_character(SemisimpleAlgebra.parse(str(st)), hw)
+                           for st, hw in weight_multiset_grid()) if len(fc.weights) <= 1000]
+    assert len(chars) == 285
+    assert {str(fc.algebra) for fc in chars} == set(GRID_TYPES)
+    plane = FormalCharacter.from_counts(SemisimpleAlgebra.parse("A1+A3"), {
+        (0, 1, 1, 0): 2, (0, -1, -1, 0): 2, (0, 0, 1, 1): 1, (0, 0, -1, -1): 1, (0, 0, 0, 0): 3})
+    for fc in chars + [plane]:
+        rank = fc.algebra.rank
+        assert charmatch._moment_matrix(fc.weights, rank) == dense_moment_matrix(fc.weights, rank)
+        data = charmatch._match_data(fc)
+        det, adj, coords, norms = data.form
+        assert norms == [dense_entry(adj, c, c) for c in coords]
+        basis = [coords[data.order[p]] for p in data.basis[0]]
+        assert len(basis) == len(adj)
+        assert all(charmatch._form_entry(adj, x, y) == dense_entry(adj, x, y)
+                   for x in basis for y in basis)
+    assert len(charmatch._match_data(plane).form[1]) == 2
+    with pytest.raises(DegenerateFormError):
+        max_norm_weights(plane)
+
+
+@pytest.mark.parametrize("name,hw,work", [
+    ("E6", (1, 0, 0, 0, 0, 1), 6503),  # 343 distinct weights of rank 6
+    ("A1", (1200,), 4802),  # 1201 distinct weights of rank 1
 ])
-def test_match_work_is_linear_in_the_distinct_weights(monkeypatch, name, hw, dots):
-    """The dot products of a match against the negation, witness check
-    included: O(n r) for n distinct weights of rank r, no n x n matrix."""
+def test_match_work_is_linear_in_the_distinct_weights(monkeypatch, name, hw, work):
+    """The dot products and form entries of a match against the negation,
+    norms and witness check included: O(n r) for n distinct weights of
+    rank r, no n x n matrix."""
     fc = char(name, hw)
     dual = negate_character(fc)
     monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
-    plain_dot, calls = linalg.dot, []
+    calls = []
 
-    def counted_dot(x, y):
-        calls.append(1)
-        return plain_dot(x, y)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "dot", counted_dot)
+    monkeypatch.setattr(linalg, "dot", counted(linalg.dot))
+    monkeypatch.setattr(charmatch, "_form_entry", counted(charmatch._form_entry))
     witness = same_formal_character(fc, dual)
-    assert witness is not None and len(calls) == dots
+    assert witness is not None and len(calls) == work
 
 
 def _stack_depth() -> int:

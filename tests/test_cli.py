@@ -432,6 +432,21 @@ def test_weights_over_bound_is_refused(capsys):
     assert err == "error: dimension 8 exceeds bound 5\n"  # no traceback
 
 
+def test_weights_refuses_bound_above_the_dimension_bound(capsys, monkeypatch):
+    code, out, _ = run(capsys, "weights", "A1", "2", "--bound", str(DEFAULT_DIMENSION_BOUND))
+    assert (code, out.splitlines()) == (0, ["-2 1", "0 1", "2 1"])
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"weights built for {args}")
+
+    monkeypatch.setattr(cli, "irreducible_character", refused)
+    for weight in ("2", "99999", "1" + "0" * 4000):
+        code, out, err = run(capsys, "weights", "A1", weight,
+                             "--bound", str(DEFAULT_DIMENSION_BOUND + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: bound 100001 exceeds the dimension bound {DEFAULT_DIMENSION_BOUND}\n"
+
+
 @pytest.mark.parametrize("command", ["dim", "weights"])
 def test_negative_weight_is_a_weight_not_an_option(capsys, command):
     code, out, err = run(capsys, command, "A2", "-1,0")
