@@ -143,12 +143,13 @@ class _MatchData:
         rank x rank moment matrix sum mult w w^T has the kernel of the weight
         matrix, so its columns depend on each other as the weights' columns
         do: p is read off it, and M = sum mult c c^T is its block on p.  For a
-        faithful character p is every column, and M is in fundamental
-        coordinates.
+        faithful character p is every column, C is the weights themselves and
+        M is in fundamental coordinates.
         """
         full = _moment_matrix(self.weights, self.rank)
         pivots = linalg.pivot_columns(full)
-        coords = [tuple(w[p] for p in pivots) for w, _ in self.weights]
+        coords = (list(self.distinct) if len(pivots) == self.rank
+                  else [tuple(w[p] for p in pivots) for w, _ in self.weights])
         det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
         return det, adj, coords, [_form_entry(adj, c, c) for c in coords]
 

@@ -10,13 +10,13 @@ make up the full verification run.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
+from .. import linalg
 from .._record import record
 from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
                           factorizations, multiset_product)
@@ -273,45 +273,48 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     return out
 
 
-def _coordinate_symmetries(ranks: tuple[int, ...]) -> list[Coords]:
-    """The diagram symmetries of A_ranks[0] + A_ranks[1] + ... as permutations
-    perm of the flat fundamental coordinates, x -> tuple(x[p] for p in perm):
-    block j of the image is the block of a factor of rank ranks[j], permuted
-    by a diagram automorphism of A_ranks[j] (rootsys.diagram_automorphisms):
-    the identity or, for rank >= 2, the reversal lambda -> lambda*."""
-    starts = list(itertools.accumulate(ranks[:-1], initial=0))
-    orders = [order for order in itertools.permutations(range(len(ranks)))
-              if all(ranks[i] == r for i, r in zip(order, ranks))]
-    flips = list(itertools.product(*[diagram_automorphisms(SimpleType("A", r))
-                                      for r in ranks]))
-    return [tuple(starts[i] + p for i, perm in zip(order, flip) for p in perm)
-            for order in orders for flip in flips]
+def _signed_basis(chars, m: int) -> bool:
+    """Whether the weights of the characters chars, of rank r = m // 2, taken
+    together are +-v_1, ..., +-v_r, each once, plus zero exactly when m is
+    odd, with v_1, ..., v_r a basis.  chars may be lazy: it is read only up
+    to the first repeated weight or multiplicity above 1."""
+    seen: set[Coords] = set()
+    for fc in chars:
+        for w, mult in fc.weights:
+            if mult > 1 or w in seen:
+                return False
+            seen.add(w)
+    r = m // 2
+    zero = (0,) * r
+    return (len(seen) == m and (zero in seen) == (m % 2 == 1)
+            and all(tuple(-c for c in w) in seen for w in seen)
+            and linalg.rank([w for w in seen if w > zero]) == r)
 
 
 def case_so_selfdual(m: int) -> Outcome:
     """Exhaustive check that any equal-rank type A character sum matching the
     odd/even orthogonal standard character has only self-dual summands.
 
-    Every sum from _faithful_sums over each all-type-A algebra of rank m // 2
-    is counted, but same_formal_character decides only one sum per orbit of
-    the algebra's coordinate symmetries (_coordinate_symmetries), against the
-    one reference character, whose match data is computed once.  Each
-    symmetry sigma permutes the fundamental coordinates by a lattice
-    automorphism that carries the weights of V(lambda) onto those of
-    V(sigma lambda): a swap of equal factors, or the diagram involution
-    lambda -> lambda* of an A_r factor.  So a witness T for one sum gives
-    sigma T for its image, and a non-match stays a non-match; the verdict is
-    kept under the sorted flat highest weights of every image.  That leaves
-    72 searches of 193 sums for m = 3..9; most are rejected on their number
-    of distinct weights, zero-weight multiplicity or (m(w), m(-w)) pair
-    list, so only the 26 matches among them build Gram data.  Self-duality
-    is checked once per distinct nontrivial summand of a match."""
+    The reference's weights are +-e_1, ..., +-e_r, each once, plus 0 when m is
+    odd, with e a basis (r = m // 2); a character C of rank r matches it
+    exactly when C has the same shape, +-v_1, ..., +-v_r and 0 when m is odd,
+    each once, with v a basis (_signed_basis).  If it has, T(e_i) = v_i is a
+    linear bijection carrying the reference onto C; conversely, any linear
+    bijection T sends +-e_i to +-T(e_i), each once, and T(e) is a basis.  The
+    case checks the shape of its reference first, then decides every sum
+    from _faithful_sums over each all-type-A algebra of rank r this way,
+    building a summand's character only when the test reaches it.  The Gram
+    search same_formal_character gives the same verdict on every sum; it is
+    the tests' oracle for this case.  Self-duality is checked once per
+    distinct nontrivial summand of a match."""
     st = _Steps()
     ref_name, ref_hw = _SO_STD[m]
     ref_alg = SemisimpleAlgebra.parse(ref_name)
     ref = irreducible_character(ref_alg, ref_hw)
     st.check(f"the orthogonal standard character in {m} variables has {m} weights",
              ref.size, m, "Weyl dimension formula")
+    if not _signed_basis([ref], m):
+        raise AssertionError(f"{ref_name} {ref_hw} is not a signed basis")
 
     rank = m // 2
     algebras = [
@@ -323,6 +326,12 @@ def case_so_selfdual(m: int) -> Outcome:
     matched: set[tuple[SemisimpleAlgebra, HighestWeight]] = set()  # nontrivial summands
     chain_violations: list[str] = []
     char_cache: dict[tuple, FormalCharacter] = {}
+
+    def summand(alg: SemisimpleAlgebra, hw: HighestWeight) -> FormalCharacter:
+        key = (alg, hw)
+        if key not in char_cache:
+            char_cache[key] = weight_multiset(alg, hw)
+        return char_cache[key]
 
     for alg in algebras:
         ranks = tuple(f.rank for f in alg.factors)
@@ -338,24 +347,9 @@ def case_so_selfdual(m: int) -> Outcome:
                 middle *= 1 + ranks[j]
             if not lower <= middle <= d:
                 chain_violations.append(f"{alg}:{hw}")
-        symmetries = _coordinate_symmetries(ranks)
-        verdicts: dict[tuple[Coords, ...], bool] = {}  # sorted flat weights -> match
         for combo in _faithful_sums(alg, irreps, m):
             n_candidates += 1
-            flats = [hw.flat() for hw, _ in combo]
-            match = verdicts.get(tuple(sorted(flats)))
-            if match is None:
-                parts = []
-                for hw, _ in combo:
-                    key = (alg, hw)
-                    if key not in char_cache:
-                        char_cache[key] = weight_multiset(alg, hw)
-                    parts.append(char_cache[key])
-                match = same_formal_character(ref, direct_sum(*parts)) is not None
-                for perm in symmetries:
-                    image = sorted(tuple(f[p] for p in perm) for f in flats)
-                    verdicts[tuple(image)] = match
-            if not match:
+            if not _signed_basis((summand(alg, hw) for hw, _ in combo), m):
                 continue
             n_matches += 1
             matched.update((alg, hw) for hw, _ in combo if any(hw.flat()))

@@ -1,8 +1,8 @@
 """Helpers of the verification cases against their unpruned references, the
 count of candidate sums against a generating function, the matching search's
-invariant check against the Gram search alone on every so-selfdual
-candidate, the coordinate symmetries so-selfdual shares verdicts by, and the
-catalog gate's pairs against a closed-form listing."""
+invariant check and so-selfdual's signed-basis criterion against the Gram
+search alone on every so-selfdual candidate, and the catalog gate's pairs
+against a closed-form listing."""
 
 import itertools
 import math
@@ -16,11 +16,11 @@ import pytest
 from charlattice import charmatch, reps
 from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
 from charlattice.linalg import dot, matvec
-from charlattice.reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
+from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
-from charlattice.verifycli.cases import (_CASES, _SO_STD, CaseError, _coordinate_symmetries,
-                                         _faithful_sums, _partitions, allowed_pairs,
+from charlattice.verifycli.cases import (_CASES, _SO_STD, CaseError, _faithful_sums,
+                                         _partitions, _signed_basis, allowed_pairs,
                                          default_suite, run_case)
 
 
@@ -96,51 +96,45 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     assert [same_formal_character(ref, cand) is not None for _, ref, cand in cases] == verdicts
     per_m = Counter(m for (m, _, _), match in zip(cases, verdicts) if match)
     assert [per_m[m] for m in range(3, 10)] == [2, 2, 4, 5, 11, 11, 28]
+    # so-selfdual's own test gives the Gram search's verdict on every candidate
+    assert [_signed_basis([cand], m) for m, _, cand in cases] == verdicts
 
 
-def symmetry_count(ranks) -> int:
-    """The order of the diagram symmetry group of A_ranks[0] + ...: k equal
-    factors of rank >= 2 give k! 2^k (permute them, reverse each), k copies
-    of A1 give k!."""
-    count = 1
-    for r, k in Counter(ranks).items():
-        count *= math.factorial(k) * (2 ** k if r >= 2 else 1)
-    return count
+def test_signed_basis_needs_a_basis():
+    """Every reference has the signed-basis shape.  On A1+A1 at m = 4 the
+    pairs +-(1,0), +-(2,0) pass every other clause and fail only the rank
+    clause, where the Gram search finds no witness; +-(1,1), +-(1,0) pass."""
+    for m, (name, hw) in _SO_STD.items():
+        assert _signed_basis([irreducible_character(SemisimpleAlgebra.parse(name), hw)], m)
+    alg = SemisimpleAlgebra.parse("A1+A1")
+    ref = irreducible_character(alg, (1, 1))
+
+    def char(*vectors):
+        return FormalCharacter.from_counts(
+            alg, {w: 1 for v in vectors for w in (v, tuple(-c for c in v))})
+
+    flat = char((1, 0), (2, 0))
+    assert not _signed_basis([flat], 4)
+    assert same_formal_character(ref, flat) is None
+    skew = char((1, 1), (1, 0))
+    assert _signed_basis([skew], 4)
+    assert same_formal_character(ref, skew) is not None
 
 
-@pytest.mark.parametrize("rank", range(1, 5))
-def test_coordinate_symmetries_carry_each_weight_multiset_to_its_image(rank):
-    """The lemma so-selfdual shares verdicts by: permuting the coordinates of
-    every weight of V(hw) by a symmetry gives the weights of V(sigma hw)."""
-    for part in _partitions(rank):
-        alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
-        symmetries = _coordinate_symmetries(part)
-        assert len(set(symmetries)) == len(symmetries) == symmetry_count(part)
-        for hw, _ in enumerate_irreps_up_to_dim(alg, 9):
-            weights = weight_multiset(alg, hw).weights
-            for perm in symmetries:
-                image = HighestWeight.from_flat(alg, tuple(hw.flat()[p] for p in perm))
-                assert (sorted((tuple(w[p] for p in perm), n) for w, n in weights)
-                        == sorted(weight_multiset(alg, image).weights)), (alg, hw, perm)
-
-
-def test_so_selfdual_searches_one_sum_per_symmetry_orbit(monkeypatch):
-    """One search per orbit of candidate sums (a search per candidate would
-    make as many searches as candidates); the counts of candidates and
-    matches are those test_invariant_filter_keeps_every_so_selfdual_verdict
-    gets by searching every candidate."""
-    searched, found = Counter(), Counter()
+def test_so_selfdual_makes_no_gram_search(monkeypatch):
+    """so-selfdual decides every candidate with _signed_basis, so it makes no
+    same_formal_character call; the counts of candidates and matches are
+    those test_invariant_filter_keeps_every_so_selfdual_verdict gets by
+    searching every candidate."""
+    searched = []
 
     def counting(ref, candidate):
-        witness = same_formal_character(ref, candidate)
-        searched[ref.size] += 1  # the reference has m weights
-        found[ref.size] += witness is not None
-        return witness
+        searched.append(ref.size)
+        return same_formal_character(ref, candidate)
 
     monkeypatch.setattr("charlattice.verifycli.cases.same_formal_character", counting)
     notes = [dict(run_case("so-selfdual", {"m": str(m)}).notes) for m in range(3, 10)]
-    assert [searched[m] for m in range(3, 10)] == [2, 3, 4, 7, 11, 15, 30]
-    assert [found[m] for m in range(3, 10)] == [2, 2, 3, 3, 5, 4, 7]
+    assert searched == []
     assert [int(n["candidates"]) for n in notes] == [2, 4, 6, 13, 23, 39, 106]
     assert [int(n["matches"]) for n in notes] == [2, 2, 4, 5, 11, 11, 28]
 
@@ -267,7 +261,7 @@ def test_sl2k_selfdual_closed_forms_match_the_character(k):
 def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     # Every weight multiset checks its dimension bound and every exhaustive
     # enumeration meets a weight again per algebra, so the battery asks for
-    # 412 simple-factor dimensions; the memo computes each of the 54
+    # 524 simple-factor dimensions; the memo computes each of the 54
     # distinct (type, weight) pairs once.  Fresh caches make the counts
     # independent of what ran before.
     compute = reps._factor_dimension.__wrapped__
@@ -288,7 +282,7 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
                         lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict
-    assert (len(asked), len(computed), len(set(computed))) == (412, 54, 54)
+    assert (len(asked), len(computed), len(set(computed))) == (524, 54, 54)
 
 
 # Joint bounds over text parameters: the parameters that sit at a joint value.
