@@ -14,6 +14,7 @@ import math
 import random
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .. import linalg
@@ -23,8 +24,8 @@ from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
 from ..charmatch import (alt_power_stats, conjugation_sums, fixed_point_exists,
                          max_norm_weights, same_formal_character)
 from ..goursat import verify_goursat_lemma
-from ..reps import (FormalCharacter, HighestWeight, SemisimpleAlgebra,
-                    direct_sum, dual_highest_weight, enumerate_irreps_up_to_dim,
+from ..reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
+                    dual_highest_weight, enumerate_irreps_up_to_dim,
                     irreducible_character, multiplicity_free_catalog,
                     restrict_to_subsystem, trivial_character, weight_multiset,
                     weyl_dimension)
@@ -219,15 +220,23 @@ def case_e6_parity() -> Outcome:
     return st.done()
 
 
+# The orthogonal standard characters of the low-rank coincidences, where
+# B_r or D_r does not exist; _so_standard reads every other m off the type.
 _SO_STD = {
     3: ("A1", (2,)),
     4: ("A1+A1", (1, 1)),
-    5: ("B2", (1, 0)),
     6: ("A3", (0, 1, 0)),
-    7: ("B3", (1, 0, 0)),
-    8: ("D4", (1, 0, 0, 0)),
-    9: ("B4", (1, 0, 0, 0)),
 }
+
+
+def _so_standard(m: int) -> tuple[str, Coords]:
+    """The algebra and highest weight of the standard character of so(m):
+    _SO_STD at m = 3, 4, 6, else B_r omega_1 for odd m = 2r + 1 and D_r
+    omega_1 for even m = 2r."""
+    if m in _SO_STD:
+        return _SO_STD[m]
+    r = m // 2
+    return f"{'B' if m % 2 else 'D'}{r}", (1,) + (0,) * (r - 1)
 
 
 def _partitions(n: int):
@@ -250,10 +259,22 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     Each level of the recursion picks the next irreducible to use, after the
     last one used, and its number of copies, from the most down to one; so
     more copies of earlier irreducibles come first, and no node stands for an
-    irreducible left out."""
-    full = (1 << len(alg.factors)) - 1
+    irreducible left out.  Two cuts drop only nodes with no sum below them:
+    an irreducible acting on a factor A_r has dimension at least r + 1 (a
+    product of such bounds is at least their sum), so a choice must leave
+    that much room for each factor still uncovered; and once the supports of
+    the irreducibles from i on cannot cover the factors still missing, no
+    later choice can."""
+    n = len(alg.factors)
+    full = (1 << n) - 1
     support = [sum(1 << j for j, coords in enumerate(hw.by_factor) if any(coords))
                for hw, _ in irreps]
+    reach = support + [0]  # reach[i]: the union of support[i:]
+    for i in range(len(irreps) - 1, -1, -1):
+        reach[i] |= reach[i + 1]
+    # need[mask]: the least dimension that covers the factors in mask
+    need = [sum(alg.factors[j].rank + 1 for j in range(n) if mask >> j & 1)
+            for mask in range(full + 1)]
     out: list[tuple[tuple[HighestWeight, int], ...]] = []
 
     def rec(start: int, remaining: int, covered: int, chosen: list[tuple[HighestWeight, int]]):
@@ -263,32 +284,53 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
             return
         for i in range(start, len(irreps)):
             d = irreps[i][1]
-            if d > remaining:  # irreps are sorted by dimension: no later one fits
+            # irreps are sorted by dimension, and reach shrinks as i grows:
+            # no later irreducible fits, or none covers what is missing
+            if d > remaining or covered | reach[i] != full:
                 return
-            for copies in range(remaining // d, 0, -1):
-                rec(i + 1, remaining - copies * d, covered | support[i],
-                    chosen + [irreps[i]] * copies)
+            now = covered | support[i]
+            for copies in range((remaining - need[full ^ now]) // d, 0, -1):
+                rec(i + 1, remaining - copies * d, now, chosen + [irreps[i]] * copies)
 
     rec(0, total, 0, [])
     return out
 
 
-def _signed_basis(chars, m: int) -> bool:
-    """Whether the weights of the characters chars, of rank r = m // 2, taken
-    together are +-v_1, ..., +-v_r, each once, plus zero exactly when m is
-    odd, with v_1, ..., v_r a basis.  chars may be lazy: it is read only up
-    to the first repeated weight or multiplicity above 1."""
-    seen: set[Coords] = set()
-    for fc in chars:
-        for w, mult in fc.weights:
-            if mult > 1 or w in seen:
-                return False
-            seen.add(w)
+@lru_cache(maxsize=None)
+def _weight_set(alg: SemisimpleAlgebra, hw: HighestWeight) -> frozenset[Coords] | None:
+    """The weights of the irreducible hw of alg as a frozenset when each has
+    multiplicity 1, else None; kept for the life of the process, which the
+    so-selfdual domain bounds to irreducibles of dimension at most 16."""
+    fc = weight_multiset(alg, hw)
+    return frozenset(fc.distinct()) if all(m == 1 for _, m in fc.weights) else None
+
+
+def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int) -> bool:
+    """Whether the set weights, of rank r = m // 2, is +-v_1, ..., +-v_r plus
+    zero exactly when m is odd, with v_1, ..., v_r a basis."""
     r = m // 2
     zero = (0,) * r
-    return (len(seen) == m and (zero in seen) == (m % 2 == 1)
-            and all(tuple(-c for c in w) in seen for w in seen)
-            and linalg.rank([w for w in seen if w > zero]) == r)
+    return (len(weights) == m and (zero in weights) == (m % 2 == 1)
+            and all(tuple(-c for c in w) in weights for w in weights)
+            and linalg.rank([w for w in weights if w > zero]) == r)
+
+
+def _matches_so_standard(alg: SemisimpleAlgebra, combo, m: int) -> bool:
+    """Whether the sum of the irreducibles in combo, a sum of dimension m from
+    _faithful_sums over alg, has the weights +-v_1, ..., +-v_r and 0 when m
+    is odd, each once, with v a basis: each summand has multiplicity-free
+    weights, no two summands share one, and their union has the
+    signed-basis shape.  The summands' dimensions add up to m, so every
+    early False is one that _signed_basis would give on the union of their
+    weights too; a repeated irreducible fails as two summands sharing every
+    weight, and a trivial summand at even m fails the zero clause."""
+    weights: set[Coords] = set()
+    for hw, _ in combo:
+        summand = _weight_set(alg, hw)
+        if summand is None or not weights.isdisjoint(summand):
+            return False
+        weights |= summand
+    return _signed_basis(weights, m)
 
 
 def case_so_selfdual(m: int) -> Outcome:
@@ -302,18 +344,22 @@ def case_so_selfdual(m: int) -> Outcome:
     linear bijection carrying the reference onto C; conversely, any linear
     bijection T sends +-e_i to +-T(e_i), each once, and T(e) is a basis.  The
     case checks the shape of its reference first, then decides every sum
-    from _faithful_sums over each all-type-A algebra of rank r this way,
-    building a summand's character only when the test reaches it.  The Gram
-    search same_formal_character gives the same verdict on every sum; it is
-    the tests' oracle for this case.  Self-duality is checked once per
-    distinct nontrivial summand of a match."""
+    from _faithful_sums over each all-type-A algebra of rank r with
+    _matches_so_standard, which reads a sum from its summands' weight sets
+    (_weight_set, built once per algebra and highest weight in a process):
+    they must be multiplicity-free, pairwise disjoint, and together of the
+    reference's shape.  The Gram search
+    same_formal_character gives the same verdict on every sum; it is the
+    tests' oracle for this case.  Self-duality is checked once per distinct
+    nontrivial summand of a match."""
     st = _Steps()
-    ref_name, ref_hw = _SO_STD[m]
+    ref_name, ref_hw = _so_standard(m)
     ref_alg = SemisimpleAlgebra.parse(ref_name)
     ref = irreducible_character(ref_alg, ref_hw)
     st.check(f"the orthogonal standard character in {m} variables has {m} weights",
              ref.size, m, "Weyl dimension formula")
-    if not _signed_basis([ref], m):
+    # m weights with multiplicity and m distinct ones: each has multiplicity 1
+    if not (ref.size == m and _signed_basis(frozenset(ref.distinct()), m)):
         raise AssertionError(f"{ref_name} {ref_hw} is not a signed basis")
 
     rank = m // 2
@@ -325,13 +371,6 @@ def case_so_selfdual(m: int) -> Outcome:
     n_matches = 0
     matched: set[tuple[SemisimpleAlgebra, HighestWeight]] = set()  # nontrivial summands
     chain_violations: list[str] = []
-    char_cache: dict[tuple, FormalCharacter] = {}
-
-    def summand(alg: SemisimpleAlgebra, hw: HighestWeight) -> FormalCharacter:
-        key = (alg, hw)
-        if key not in char_cache:
-            char_cache[key] = weight_multiset(alg, hw)
-        return char_cache[key]
 
     for alg in algebras:
         ranks = tuple(f.rank for f in alg.factors)
@@ -349,7 +388,7 @@ def case_so_selfdual(m: int) -> Outcome:
                 chain_violations.append(f"{alg}:{hw}")
         for combo in _faithful_sums(alg, irreps, m):
             n_candidates += 1
-            if not _signed_basis((summand(alg, hw) for hw, _ in combo), m):
+            if not _matches_so_standard(alg, combo, m):
                 continue
             n_matches += 1
             matched.update((alg, hw) for hw, _ in combo if any(hw.flat()))
@@ -640,8 +679,8 @@ _CASES: dict[str, Domain] = {
     "sl2k-selfdual-exclusions": Domain(case_sl2k_selfdual_exclusions),
     "sl2k-nonselfdual-dims": Domain(case_sl2k_nonselfdual_dims),
     "e6-parity": Domain(case_e6_parity),
-    # _SO_STD holds the orthogonal standard character for m = 3..9 only.
-    "so-selfdual": Domain(case_so_selfdual, {"m": (3, 5, 9)}),
+    # m = 16 takes 0.6-0.9 s, nearly all of it in _faithful_sums (8160 sums).
+    "so-selfdual": Domain(case_so_selfdual, {"m": (3, 5, 16)}),
     # D_m starts at m = 4; m = 16 takes 0.02 s.
     "so2m-conj-zero": Domain(case_so2m_conj_zero, {"m": (4, 4, 16)}),
     "g2-sl3-coincidence": Domain(case_g2_sl3_coincidence),

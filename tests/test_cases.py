@@ -1,6 +1,6 @@
 """Helpers of the verification cases against their unpruned references, the
 count of candidate sums against a generating function, the matching search's
-invariant check and so-selfdual's signed-basis criterion against the Gram
+invariant check and so-selfdual's per-candidate decision against the Gram
 search alone on every so-selfdual candidate, and the catalog gate's pairs
 against a closed-form listing."""
 
@@ -19,9 +19,11 @@ from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
-from charlattice.verifycli.cases import (_CASES, _SO_STD, CaseError, _faithful_sums,
-                                         _partitions, _signed_basis, allowed_pairs,
-                                         default_suite, run_case)
+from charlattice.verifycli import cases as cases_module
+from charlattice.verifycli.cases import (_CASES, CaseError, _faithful_sums,
+                                         _matches_so_standard, _partitions, _signed_basis,
+                                         _so_standard, allowed_pairs, default_suite,
+                                         run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -44,22 +46,28 @@ def reference_faithful_sums(alg, total):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_faithful_sums_match_unpruned_recursion(m):
-    # _faithful_sums takes any total; the case's m <= 9 cap does not apply here
+    # the unpruned reference is tabulated per total, and m = 12 takes about 1 s
     for part in _partitions(m // 2):
         alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
         irreps = enumerate_irreps_up_to_dim(alg, m)
         assert _faithful_sums(alg, irreps, m) == reference_faithful_sums(alg, m)
 
 
+def so_selfdual_reference(m):
+    name, hw = _so_standard(m)
+    return irreducible_character(SemisimpleAlgebra.parse(name), hw)
+
+
 def so_selfdual_pairs():
-    """(m, reference, candidate) for every candidate sum of so-selfdual, m = 3..9."""
+    """(m, reference, algebra, sum, its character) for every candidate sum of
+    so-selfdual, m = 3..9."""
     for m in range(3, 10):
-        name, hw = _SO_STD[m]
-        ref = irreducible_character(SemisimpleAlgebra.parse(name), hw)
+        ref = so_selfdual_reference(m)
         for part in _partitions(m // 2):
             alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
             for combo in _faithful_sums(alg, enumerate_irreps_up_to_dim(alg, m), m):
-                yield m, ref, direct_sum(*(weight_multiset(alg, hw) for hw, _ in combo))
+                yield m, ref, alg, combo, direct_sum(*(weight_multiset(alg, hw)
+                                                       for hw, _ in combo))
 
 
 def first_failed_check(fc1, fc2):
@@ -83,9 +91,9 @@ def first_failed_check(fc1, fc2):
 
 def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     cases = list(so_selfdual_pairs())
-    verdicts = [same_formal_character(ref, cand) is not None for _, ref, cand in cases]
+    verdicts = [same_formal_character(ref, cand) is not None for _, ref, _, _, cand in cases]
     stages = Counter((first_failed_check(ref, cand), match)
-                     for (_, ref, cand), match in zip(cases, verdicts))
+                     for (_, ref, _, _, cand), match in zip(cases, verdicts))
     # the invariants reject every non-match that has the right number of
     # distinct weights, so only true matches reach the Gram search
     assert stages == {("distinct count", False): 58, ("zero multiplicity", False): 44,
@@ -93,19 +101,56 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     # the same sweep with the invariant check bypassed: the Gram search alone
     monkeypatch.setattr(charmatch, "_invariants", lambda weights: None)
     monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
-    assert [same_formal_character(ref, cand) is not None for _, ref, cand in cases] == verdicts
-    per_m = Counter(m for (m, _, _), match in zip(cases, verdicts) if match)
+    assert [same_formal_character(ref, cand) is not None
+            for _, ref, _, _, cand in cases] == verdicts
+    per_m = Counter(m for (m, *_), match in zip(cases, verdicts) if match)
     assert [per_m[m] for m in range(3, 10)] == [2, 2, 4, 5, 11, 11, 28]
-    # so-selfdual's own test gives the Gram search's verdict on every candidate
-    assert [_signed_basis([cand], m) for m, _, cand in cases] == verdicts
+    # so-selfdual's own decision gives the Gram search's verdict on every candidate
+    assert len(cases) == 193
+    assert [_matches_so_standard(alg, combo, m) for m, _, alg, combo, _ in cases] == verdicts
+
+
+def irreps_of(alg, *flats):
+    """The (highest weight, dimension) pairs of alg with the given flat
+    highest weights, in the order _faithful_sums lists them."""
+    irreps = enumerate_irreps_up_to_dim(alg, 16)
+    index = {hw.flat(): i for i, (hw, _) in enumerate(irreps)}
+    return tuple(irreps[i] for i in sorted(index[flat] for flat in flats))
+
+
+@pytest.mark.parametrize("m,name,flats,rejection", [
+    # a repeated irreducible shares every weight with its copy
+    (5, "A2", [(0, 0), (0, 0), (1, 0)], "two summands share a weight"),
+    (7, "A1+A2", [(0, 0, 0), (2, 0, 0), (0, 1, 0)], "two summands share a weight"),
+    (11, "A1+A4", [(1, 0, 0, 0, 0), (3, 0, 0, 0, 0), (0, 1, 0, 0, 0)],
+     "two summands share a weight"),
+    (13, "A2+A4", [(0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0)], "multiplicity above 1"),
+])
+def test_each_early_rejection_is_a_sum_with_no_witness(m, name, flats, rejection):
+    """A faithful sum for each way _matches_so_standard rejects a sum before
+    the signed-basis clauses: the sum is refused, and the Gram search finds
+    no linear bijection onto the reference either."""
+    alg = SemisimpleAlgebra.parse(name)
+    combo = irreps_of(alg, *flats)
+    assert combo in _faithful_sums(alg, enumerate_irreps_up_to_dim(alg, m), m)
+    sets = [cases_module._weight_set(alg, hw) for hw, _ in combo]
+    applies = {"multiplicity above 1": None in sets,
+               "two summands share a weight": None not in sets and any(
+                   not a.isdisjoint(b) for a, b in itertools.combinations(sets, 2))}
+    assert [k for k, v in applies.items() if v] == [rejection]
+    assert not _matches_so_standard(alg, combo, m)
+    cand = direct_sum(*(weight_multiset(alg, hw) for hw, _ in combo))
+    assert same_formal_character(so_selfdual_reference(m), cand) is None
 
 
 def test_signed_basis_needs_a_basis():
-    """Every reference has the signed-basis shape.  On A1+A1 at m = 4 the
-    pairs +-(1,0), +-(2,0) pass every other clause and fail only the rank
-    clause, where the Gram search finds no witness; +-(1,1), +-(1,0) pass."""
-    for m, (name, hw) in _SO_STD.items():
-        assert _signed_basis([irreducible_character(SemisimpleAlgebra.parse(name), hw)], m)
+    """Every reference, m = 3..16, has the signed-basis shape.  On A1+A1 at
+    m = 4 the pairs +-(1,0), +-(2,0) pass every other clause and fail only
+    the rank clause, where the Gram search finds no witness; +-(1,1),
+    +-(1,0) pass."""
+    for m in range(3, 17):
+        ref = so_selfdual_reference(m)
+        assert ref.size == m and _signed_basis(frozenset(ref.distinct()), m)
     alg = SemisimpleAlgebra.parse("A1+A1")
     ref = irreducible_character(alg, (1, 1))
 
@@ -114,15 +159,15 @@ def test_signed_basis_needs_a_basis():
             alg, {w: 1 for v in vectors for w in (v, tuple(-c for c in v))})
 
     flat = char((1, 0), (2, 0))
-    assert not _signed_basis([flat], 4)
+    assert not _signed_basis(frozenset(flat.distinct()), 4)
     assert same_formal_character(ref, flat) is None
     skew = char((1, 1), (1, 0))
-    assert _signed_basis([skew], 4)
+    assert _signed_basis(frozenset(skew.distinct()), 4)
     assert same_formal_character(ref, skew) is not None
 
 
 def test_so_selfdual_makes_no_gram_search(monkeypatch):
-    """so-selfdual decides every candidate with _signed_basis, so it makes no
+    """so-selfdual decides every candidate with _matches_so_standard, so it makes no
     same_formal_character call; the counts of candidates and matches are
     those test_invariant_filter_keeps_every_so_selfdual_verdict gets by
     searching every candidate."""
@@ -137,6 +182,16 @@ def test_so_selfdual_makes_no_gram_search(monkeypatch):
     assert searched == []
     assert [int(n["candidates"]) for n in notes] == [2, 4, 6, 13, 23, 39, 106]
     assert [int(n["matches"]) for n in notes] == [2, 2, 4, 5, 11, 11, 28]
+
+
+@pytest.mark.parametrize("m,candidates,matches", [
+    (10, 146, 28), (11, 350, 80), (12, 603, 81), (13, 1415, 243), (14, 2059, 243),
+    (15, 5728, 792), (16, 8160, 792)])
+def test_so_selfdual_above_the_default_suite(m, candidates, matches):
+    report = run_case("so-selfdual", {"m": str(m)})
+    assert report.verdict
+    notes = dict(report.notes)
+    assert (int(notes["candidates"]), int(notes["matches"])) == (candidates, matches)
 
 
 def test_e6_parity_permutes_the_multiset_twice(monkeypatch):
@@ -219,7 +274,7 @@ def test_type_a_dimensions_hook_content():
     assert sorted(type_a_dimensions(3, 10)) == [1, 4, 4, 6, 10, 10]
 
 
-@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("m", range(3, 17))
 def test_faithful_sums_counted_by_generating_function(m):
     for part in _partitions(m // 2):
         alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
@@ -261,9 +316,10 @@ def test_sl2k_selfdual_closed_forms_match_the_character(k):
 def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     # Every weight multiset checks its dimension bound and every exhaustive
     # enumeration meets a weight again per algebra, so the battery asks for
-    # 524 simple-factor dimensions; the memo computes each of the 54
-    # distinct (type, weight) pairs once.  Fresh caches make the counts
-    # independent of what ran before.
+    # 386 simple-factor dimensions; the memo computes each of the 54
+    # distinct (type, weight) pairs once.  Fresh caches, so-selfdual's
+    # summand weight sets among them, make the counts independent of what
+    # ran before.
     compute = reps._factor_dimension.__wrapped__
     asked, computed = [], []
 
@@ -280,9 +336,10 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     monkeypatch.setattr(reps, "_factor_dimension", ask)
     monkeypatch.setattr(reps, "_enumerate_simple",
                         lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
+    cases_module._weight_set.cache_clear()
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict
-    assert (len(asked), len(computed), len(set(computed))) == (524, 54, 54)
+    assert (len(asked), len(computed), len(set(computed))) == (386, 54, 54)
 
 
 # Joint bounds over text parameters: the parameters that sit at a joint value.

@@ -16,8 +16,8 @@ ALLOWED = {
     "goursat._compatible_partitions.grow",  # one level per factor, at most MAX_FACTORS
     "reps._enumerate_simple.extend",  # one level per fundamental weight, at most the rank
     "reps.enumerate_irreps_up_to_dim.build",  # one level per simple factor
-    "cases._partitions.rec",  # one level per part of a partition of m // 2, m <= 9 (so-selfdual)
-    "cases._faithful_sums.rec",  # one level per distinct summand, at most m <= 9 (so-selfdual)
+    "cases._partitions.rec",  # one level per part of a partition of m // 2, m <= 16 (so-selfdual)
+    "cases._faithful_sums.rec",  # one level per distinct summand, at most m <= 16 (so-selfdual)
     "cases.fmt",  # one level per nesting of a reported value
 }
 
