@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add, mul
 
 from ._record import record
 from .rootsys import (
@@ -20,7 +21,6 @@ from .rootsys import (
     coroot,
     dominant_representative,
     pairing,
-    root_weight,
     weyl_orbit,
 )
 
@@ -150,20 +150,40 @@ def direct_sum(*chars: FormalCharacter) -> FormalCharacter:
 
 
 @lru_cache(maxsize=None)
+def _scaled_roots(stype: SimpleType) -> tuple[Coords, ...]:
+    """beta o l for each positive root beta, aligned with positive_roots: a
+    weight v pairs with it as in rootsys.pairing, v . (beta o l) = 2(v, beta)."""
+    rs = build_root_system(stype)
+    return tuple(tuple(c * l for c, l in zip(beta, rs.root_lengths))
+                 for beta in rs.positive_roots)
+
+
+@lru_cache(maxsize=None)
+def _weyl_denominator(stype: SimpleType) -> int:
+    """The product of 2(rho, beta) over beta > 0, the denominator of Weyl's
+    dimension formula: rho is (1, ..., 1) in fundamental coordinates, so
+    2(rho, beta) = sum_k beta_k l_k."""
+    rs = build_root_system(stype)
+    den = 1
+    for beta in rs.positive_roots:
+        den *= sum(map(mul, beta, rs.root_lengths))
+    return den
+
+
+@lru_cache(maxsize=None)
 def _factor_dimension(stype: SimpleType, hw: Coords) -> int:
     """Weyl's product of (lambda + rho, beta) / (rho, beta) over beta > 0, each
     side doubled as in rootsys.pairing: beta dotted with (lambda + rho) o l
-    and with rho o l = l.  Memoized per (type, weight), like
+    over _weyl_denominator.  Memoized per (type, weight), like
     `_simple_weight_multiset`: every weight multiset checks its dimension
     bound first, and the exhaustive enumerations meet a weight again for
     every algebra that contains its factor."""
     rs = build_root_system(stype)
-    lengths = rs.root_lengths
-    shifted = tuple((c + 1) * l for c, l in zip(hw, lengths))
-    num = den = 1
+    shifted = tuple((c + 1) * l for c, l in zip(hw, rs.root_lengths))
+    num = 1
     for beta in rs.positive_roots:
-        num *= sum(a * b for a, b in zip(beta, shifted))
-        den *= sum(a * b for a, b in zip(beta, lengths))
+        num *= sum(map(mul, beta, shifted))
+    den = _weyl_denominator(stype)
     dim, rem = divmod(num, den)
     if rem or dim <= 0:
         raise AssertionError(f"dimension formula gave {num}/{den} for {rs.stype} {hw}")
@@ -196,12 +216,19 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
     2(v, beta) = sum_k v_k c_k l_k, and with lam - mu = sum d_k alpha_k the
     denominator 2((lam+rho)^2 - (mu+rho)^2) is 2(lam + mu + 2 rho, lam - mu).
     Each multiplicity then takes one exact integer division.
+
+    The root strings are summed once (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, 22.3).  Per root beta, tail[v] holds
+    T(v) = sum_{j >= 0} m(v + j beta) 2(v + j beta, beta) for the weights v
+    met so far, so the string sum at mu is T(mu + beta), and
+    T(v) = m(v) 2(v, beta) + T(v + beta), with T = 0 off the weights, which
+    the walk up from mu + beta reaches at the first known value.  Every
+    weight above mu on a string has a dominant conjugate strictly above mu,
+    so the depth order has fixed its multiplicity when mu is reached.
     """
     rs = build_root_system(stype)
     rank = rs.rank
-    lengths = rs.root_lengths
-    roots = [(root_weight(rs, beta), beta, tuple(c * l for c, l in zip(beta, lengths)))
-             for beta in rs.positive_roots]
+    roots = list(zip(rs.root_weights, rs.positive_roots, _scaled_roots(stype)))
 
     # depth[mu]: lam - mu in simple-root coordinates, for dominant mu
     depth: dict[Coords, Coords] = {hw: (0,) * rank}
@@ -219,17 +246,24 @@ def _simple_weight_multiset(stype: SimpleType, hw: Coords) -> tuple[tuple[Coords
     dom = {v: mu for mu in depth for v in weyl_orbit(rs, mu)}
 
     mult: dict[Coords, int] = {}
+    tails: list[dict[Coords, int]] = [{} for _ in roots]
     for mu in sorted(depth, key=lambda v: sum(depth[v])):
         d = depth[mu]
         if not any(d):
             mult[mu] = 1
             continue
         acc = 0
-        for beta_w, _, u in roots:
-            v = tuple(a + b for a, b in zip(mu, beta_w))
-            while v in dom:
-                acc += mult[dom[v]] * sum(a * b for a, b in zip(v, u))
-                v = tuple(a + b for a, b in zip(v, beta_w))
+        for (beta_w, _, u), tail in zip(roots, tails):
+            path = []
+            v = tuple(map(add, mu, beta_w))
+            while v not in tail and v in dom:
+                path.append(v)
+                v = tuple(map(add, v, beta_w))
+            s = tail.get(v, 0)
+            for v in reversed(path):
+                s += mult[dom[v]] * sum(map(mul, v, u))
+                tail[v] = s
+            acc += s
         denom = pairing(rs, tuple(a + b + 2 for a, b in zip(hw, mu)), d)
         m, rem = divmod(2 * acc, denom)
         if rem or m <= 0:

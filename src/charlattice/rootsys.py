@@ -89,13 +89,15 @@ class RootSystem:
     cartan_matrix[i][j] = <alpha_i, alpha_j^vee>, so row i is alpha_i in
     fundamental coordinates; root_lengths[i] = (alpha_i, alpha_i).
     positive_roots are in simple-root coordinates, ordered by height, so the
-    highest root comes last.
+    highest root comes last; root_weights[k] is positive_roots[k] in
+    fundamental coordinates, root_weight(self, positive_roots[k]).
     """
 
     stype: SimpleType
     cartan_matrix: tuple[Coords, ...]
     root_lengths: Coords
     positive_roots: tuple[Coords, ...]
+    root_weights: tuple[Coords, ...]
 
     @property
     def rank(self) -> int:
@@ -123,14 +125,16 @@ def _diagram(stype: SimpleType) -> tuple[list[tuple[int, int]], Coords]:
     raise CartanTypeError(f"unsupported family {fam!r}")
 
 
-def _positive_roots(cartan: tuple[Coords, ...]) -> tuple[Coords, ...]:
-    """Positive roots in simple-root coordinates.
+def _positive_roots(cartan: tuple[Coords, ...]) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+    """Positive roots in simple-root coordinates, and each in fundamental
+    coordinates.
 
     Roots are generated by height along alpha-strings: with p the number of
     steps the alpha_i-string through beta reaches below beta, beta + alpha_i
     is a root exactly when p > <beta, alpha_i^vee>.  Each p is recorded when
-    the root below is processed, one height earlier.  The roots come out by
-    height, so the highest root comes last.
+    the root below is processed, one height earlier; the fundamental
+    coordinates give those pairings and are kept, aligned with the roots.
+    The roots come out by height, so the highest root comes last.
     """
     n = len(cartan)
     weight: dict[Coords, Coords] = {}
@@ -156,7 +160,7 @@ def _positive_roots(cartan: tuple[Coords, ...]) -> tuple[Coords, ...]:
                     nxt.append(up)
                 down[up][i] = p + 1
         level = nxt
-    return tuple(weight)
+    return tuple(weight), tuple(weight.values())
 
 
 def pairing(rs: RootSystem, w: Coords, beta: Coords) -> int:
@@ -219,11 +223,11 @@ def build_root_system(stype: SimpleType) -> RootSystem:
         raise CartanTypeError(
             f"rank {stype.rank} of {stype} exceeds the root-datum limit {MAX_ROOT_DATUM_RANK}")
     cartan = _cartan(stype)
-    roots = _positive_roots(cartan)
+    roots, weights = _positive_roots(cartan)
     if 2 * len(roots) != _ROOT_COUNT[stype.family](stype.rank):
         raise AssertionError(f"root strings of {stype} produced {len(roots)} positive roots")
     return RootSystem(stype=stype, cartan_matrix=cartan, root_lengths=_diagram(stype)[1],
-                      positive_roots=roots)
+                      positive_roots=roots, root_weights=weights)
 
 
 def reflect_coords(rs: RootSystem, w: Coords, i: int) -> Coords:

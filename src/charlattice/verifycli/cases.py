@@ -10,8 +10,10 @@ make up the full verification run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
@@ -24,11 +26,10 @@ from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
 from ..charmatch import (alt_power_stats, conjugation_sums, fixed_point_exists,
                          max_norm_weights, same_formal_character)
 from ..goursat import verify_goursat_lemma
-from ..reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
-                    dual_highest_weight, enumerate_irreps_up_to_dim,
+from ..reps import (HighestWeight, SemisimpleAlgebra, _simple_weight_multiset,
+                    direct_sum, dual_highest_weight, enumerate_irreps_up_to_dim,
                     irreducible_character, multiplicity_free_catalog,
-                    restrict_to_subsystem, trivial_character, weight_multiset,
-                    weyl_dimension)
+                    restrict_to_subsystem, trivial_character, weyl_dimension)
 from ..rootsys import (SimpleType, build_root_system, diagram_automorphisms,
                        type_a_equal_rank, weyl_orbit)
 
@@ -251,10 +252,12 @@ def _partitions(n: int):
     yield from rec(n, n)
 
 
-def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
+def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = False):
     """All multisets of irreducibles of total dimension `total` whose joint
     support covers every factor; repeats allowed, trivial summands allowed.
     irreps is enumerate_irreps_up_to_dim(alg, total), sorted by dimension.
+    A sum is a tuple of (highest weight, dimension) pairs from irreps, or
+    with indices=True the ascending tuple of their indices into irreps.
 
     Each level of the recursion picks the next irreducible to use, after the
     last one used, and its number of copies, from the most down to one; so
@@ -264,9 +267,13 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     product of such bounds is at least their sum), so a choice must leave
     that much room for each factor still uncovered; and once the supports of
     the irreducibles from i on cannot cover the factors still missing, no
-    later choice can."""
+    later choice can.  The first cut depends on the position only through
+    the factors covered and the dimension remaining, so the irreducibles
+    that pass it are listed once per such pair, and a level walks only
+    those."""
     n = len(alg.factors)
     full = (1 << n) - 1
+    dims = [d for _, d in irreps]
     support = [sum(1 << j for j, coords in enumerate(hw.by_factor) if any(coords))
                for hw, _ in irreps]
     reach = support + [0]  # reach[i]: the union of support[i:]
@@ -275,34 +282,56 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int):
     # need[mask]: the least dimension that covers the factors in mask
     need = [sum(alg.factors[j].rank + 1 for j in range(n) if mask >> j & 1)
             for mask in range(full + 1)]
-    out: list[tuple[tuple[HighestWeight, int], ...]] = []
+    # fits[covered, remaining]: the indices i, ascending, with room for
+    # one copy of irreps[i] and the factors it leaves uncovered
+    fits: dict[tuple[int, int], list[int]] = {}
+    out: list[tuple[int, ...]] = []
 
-    def rec(start: int, remaining: int, covered: int, chosen: list[tuple[HighestWeight, int]]):
+    def rec(start: int, remaining: int, covered: int, chosen: list[int]):
         if remaining == 0:
             if covered == full:
                 out.append(tuple(chosen))
             return
-        for i in range(start, len(irreps)):
-            d = irreps[i][1]
-            # irreps are sorted by dimension, and reach shrinks as i grows:
-            # no later irreducible fits, or none covers what is missing
-            if d > remaining or covered | reach[i] != full:
+        fitting = fits.get((covered, remaining))
+        if fitting is None:
+            fitting = fits[covered, remaining] = [
+                i for i in range(bisect_right(dims, remaining))
+                if dims[i] + need[full ^ (covered | support[i])] <= remaining]
+        for k in range(bisect_left(fitting, start), len(fitting)):
+            i = fitting[k]
+            # reach shrinks as i grows: none from here on covers what is missing
+            if covered | reach[i] != full:
                 return
+            d = dims[i]
             now = covered | support[i]
             for copies in range((remaining - need[full ^ now]) // d, 0, -1):
-                rec(i + 1, remaining - copies * d, now, chosen + [irreps[i]] * copies)
+                rec(i + 1, remaining - copies * d, now, chosen + [i] * copies)
 
     rec(0, total, 0, [])
-    return out
+    return out if indices else [tuple(irreps[i] for i in combo) for combo in out]
 
 
 @lru_cache(maxsize=None)
 def _weight_set(alg: SemisimpleAlgebra, hw: HighestWeight) -> frozenset[Coords] | None:
     """The weights of the irreducible hw of alg as a frozenset when each has
     multiplicity 1, else None; kept for the life of the process, which the
-    so-selfdual domain bounds to irreducibles of dimension at most 16."""
-    fc = weight_multiset(alg, hw)
-    return frozenset(fc.distinct()) if all(m == 1 for _, m in fc.weights) else None
+    so-selfdual domain bounds to irreducibles of dimension at most 16.
+
+    The set is built from the simple factors' multisets, as weight_multiset
+    builds the character, and its size is checked against the Weyl dimension
+    the same way.  A weight of the product has multiplicity 1 exactly when
+    each factor's part has."""
+    dim = weyl_dimension(alg, hw)
+    per_factor = [_simple_weight_multiset(st, coords)
+                  for st, coords in zip(alg.factors, hw.by_factor)]
+    size = math.prod(sum(m for _, m in factor) for factor in per_factor)
+    if size != dim:
+        raise AssertionError(f"weight multiset size {size} != dimension {dim}")
+    if any(m != 1 for factor in per_factor for _, m in factor):
+        return None
+    return frozenset(tuple(itertools.chain.from_iterable(combo))
+                     for combo in itertools.product(*([w for w, _ in factor]
+                                                      for factor in per_factor)))
 
 
 def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int) -> bool:
@@ -315,22 +344,32 @@ def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int) -> bool:
             and linalg.rank([w for w in weights if w > zero]) == r)
 
 
-def _matches_so_standard(alg: SemisimpleAlgebra, combo, m: int) -> bool:
-    """Whether the sum of the irreducibles in combo, a sum of dimension m from
-    _faithful_sums over alg, has the weights +-v_1, ..., +-v_r and 0 when m
-    is odd, each once, with v a basis: each summand has multiplicity-free
-    weights, no two summands share one, and their union has the
-    signed-basis shape.  The summands' dimensions add up to m, so every
-    early False is one that _signed_basis would give on the union of their
-    weights too; a repeated irreducible fails as two summands sharing every
-    weight, and a trivial summand at even m fails the zero clause."""
+def _is_so_standard(summands, m: int) -> bool:
+    """Whether a sum of dimension m whose summands have the weight sets
+    summands (each a frozenset, or None for one with a multiplicity above 1)
+    has the weights +-v_1, ..., +-v_r and 0 when m is odd, each once, with v
+    a basis: each summand has multiplicity-free weights, no two summands
+    share one, and their union has the signed-basis shape.  The summands'
+    dimensions add up to m, so every early False is one that _signed_basis
+    would give on the union of their weights too; a repeated irreducible
+    fails as two summands sharing every weight, and a trivial summand at
+    even m fails the zero clause."""
     weights: set[Coords] = set()
-    for hw, _ in combo:
-        summand = _weight_set(alg, hw)
+    for summand in summands:
         if summand is None or not weights.isdisjoint(summand):
             return False
         weights |= summand
     return _signed_basis(weights, m)
+
+
+def _matches_so_standard(alg: SemisimpleAlgebra, combo, m: int) -> bool:
+    """_is_so_standard on a sum from _faithful_sums over alg, through the
+    summands' _weight_set."""
+    return _is_so_standard((_weight_set(alg, hw) for hw, _ in combo), m)
+
+
+# An irreducible whose weight set case_so_selfdual has not looked up yet.
+_UNSET = object()
 
 
 def case_so_selfdual(m: int) -> Outcome:
@@ -344,11 +383,13 @@ def case_so_selfdual(m: int) -> Outcome:
     linear bijection carrying the reference onto C; conversely, any linear
     bijection T sends +-e_i to +-T(e_i), each once, and T(e) is a basis.  The
     case checks the shape of its reference first, then decides every sum
-    from _faithful_sums over each all-type-A algebra of rank r with
-    _matches_so_standard, which reads a sum from its summands' weight sets
-    (_weight_set, built once per algebra and highest weight in a process):
-    they must be multiplicity-free, pairwise disjoint, and together of the
-    reference's shape.  The Gram search
+    from _faithful_sums over each all-type-A algebra of rank r, as indices, with
+    _is_so_standard, which reads a sum from its summands' weight sets: they
+    must be multiplicity-free, pairwise disjoint, and together of the
+    reference's shape.  Each algebra keeps a list of its irreducibles'
+    weight sets, filled from _weight_set (built once per algebra and highest
+    weight in a process) the first time a sum uses the irreducible, so a
+    summand is looked up by its index.  The Gram search
     same_formal_character gives the same verdict on every sum; it is the
     tests' oracle for this case.  Self-duality is checked once per distinct
     nontrivial summand of a match."""
@@ -369,7 +410,7 @@ def case_so_selfdual(m: int) -> Outcome:
     ]
     n_candidates = 0
     n_matches = 0
-    matched: set[tuple[SemisimpleAlgebra, HighestWeight]] = set()  # nontrivial summands
+    dual_violations: set[str] = set()
     chain_violations: list[str] = []
 
     for alg in algebras:
@@ -386,15 +427,26 @@ def case_so_selfdual(m: int) -> Outcome:
                 middle *= 1 + ranks[j]
             if not lower <= middle <= d:
                 chain_violations.append(f"{alg}:{hw}")
-        for combo in _faithful_sums(alg, irreps, m):
+        sets: list = [_UNSET] * len(irreps)
+
+        def summand(i: int):
+            got = sets[i]
+            if got is _UNSET:
+                got = sets[i] = _weight_set(alg, irreps[i][0])
+            return got
+
+        matched: set[int] = set()  # indices of the summands of matches
+        for combo in _faithful_sums(alg, irreps, m, indices=True):
             n_candidates += 1
-            if not _matches_so_standard(alg, combo, m):
+            if not _is_so_standard(map(summand, combo), m):
                 continue
             n_matches += 1
-            matched.update((alg, hw) for hw, _ in combo if any(hw.flat()))
+            matched.update(combo)
+        for i in matched:
+            hw = irreps[i][0]
+            if any(hw.flat()) and dual_highest_weight(alg, hw) != hw:
+                dual_violations.add(f"{alg}:{hw}")
 
-    dual_violations = {f"{alg}:{hw}" for alg, hw in matched
-                       if dual_highest_weight(alg, hw) != hw}
     st.hold("at least one equal-rank type A character sum matches",
             n_matches >= 1, "exhaustive sweep over faithful character sums")
     st.check("every matched sum has only self-dual summands",
@@ -679,17 +731,18 @@ _CASES: dict[str, Domain] = {
     "sl2k-selfdual-exclusions": Domain(case_sl2k_selfdual_exclusions),
     "sl2k-nonselfdual-dims": Domain(case_sl2k_nonselfdual_dims),
     "e6-parity": Domain(case_e6_parity),
-    # m = 16 takes 0.6-0.9 s, nearly all of it in _faithful_sums (8160 sums).
+    # m = 16 takes 0.16-0.27 s (0.42-0.81 s before _faithful_sums walked only
+    # the irreducibles that fit): 8160 sums, 792 matches.
     "so-selfdual": Domain(case_so_selfdual, {"m": (3, 5, 16)}),
     # D_m starts at m = 4; m = 16 takes 0.02 s.
     "so2m-conj-zero": Domain(case_so2m_conj_zero, {"m": (4, 4, 16)}),
     "g2-sl3-coincidence": Domain(case_g2_sl3_coincidence),
     # A rank above 20 is refused before any work (A150 ran 10 s cold).  Up to
     # it the dimension bound 100000 of weight_multiset governs: A16 (1,0,0,0,1,
-    # 0,...), dimension 92820, takes 4.9 s, where A40 (2,0,...,0,1), dimension
-    # 35260, took 8.4 s.  The slowest accepted input has rank 1: A1 (k) costs
-    # about k^2 in Freudenthal's root strings (22 s at k = 8000), so k = 99999
-    # would take about an hour.
+    # 0,...), dimension 92820, takes 2.3-3.0 s, where A40 (2,0,...,0,1),
+    # dimension 35260, took 8.4 s.  A1 (k) is linear in k now that
+    # Freudenthal sums each root string once: k = 99999 takes 1.0-1.7 s cold
+    # (22 s at k = 8000 when every string was walked afresh).
     "max-norm-bound": Domain(
         case_max_norm_bound, free={"algebra": "A2", "hw": "1,1"},
         joint=("rank of algebra",

@@ -16,7 +16,7 @@ import pytest
 from charlattice import charmatch, reps
 from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
 from charlattice.linalg import dot, matvec
-from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
+from charlattice.reps import (FormalCharacter, HighestWeight, SemisimpleAlgebra, direct_sum,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli import cases as cases_module
@@ -108,6 +108,34 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     # so-selfdual's own decision gives the Gram search's verdict on every candidate
     assert len(cases) == 193
     assert [_matches_so_standard(alg, combo, m) for m, _, alg, combo, _ in cases] == verdicts
+
+
+def test_weight_set_agrees_with_the_weight_multiset():
+    """_weight_set builds the set from the simple factors' multisets; here
+    it is read off weight_multiset for every irreducible of dimension at
+    most 16 of every all-type-A algebra of rank at most 8."""
+    checked = 0
+    for rank in range(1, 9):
+        for part in _partitions(rank):
+            alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
+            for hw, _ in enumerate_irreps_up_to_dim(alg, 16):
+                fc = weight_multiset(alg, hw)
+                expected = (frozenset(fc.distinct())
+                            if all(m == 1 for _, m in fc.weights) else None)
+                assert cases_module._weight_set(alg, hw) == expected, (alg, hw)
+                checked += 1
+    assert checked == 8670
+
+
+def test_weight_set_checks_the_weyl_dimension(monkeypatch):
+    true_dimension = reps._factor_dimension
+    monkeypatch.setattr(reps, "_factor_dimension",
+                        lambda stype, hw: true_dimension(stype, hw) + 1)
+    monkeypatch.setattr(cases_module, "_weight_set",
+                        lru_cache(maxsize=None)(cases_module._weight_set.__wrapped__))
+    with pytest.raises(AssertionError, match="!= dimension"):
+        cases_module._weight_set(SemisimpleAlgebra.parse("A1+A2"),
+                                 HighestWeight(((1,), (1, 0))))
 
 
 def irreps_of(alg, *flats):

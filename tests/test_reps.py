@@ -11,17 +11,20 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
+from charlattice import reps
 from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               HighestWeight, SemisimpleAlgebra, direct_sum,
                               dual_highest_weight, enumerate_irreps_up_to_dim,
                               irreducible_character, multiplicity_free_catalog,
                               restrict_to_subsystem, trivial_character,
                               weight_multiset, weyl_dimension, _simple_weight_multiset)
-from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, type_a_equal_rank
+from charlattice.rootsys import (SimpleType, build_root_system, pairing, reflect_coords,
+                                 root_weight, type_a_equal_rank)
 
 from kostka_oracle import content_of, hook_content_dimension, kostka, partition_of
 from weyl_character_oracle import check_weight_multiset, weyl_group_order, weyl_shifts
@@ -238,6 +241,46 @@ def test_type_a_multiplicities_match_kostka_numbers(n):
         # every Kostka number is nonnegative, so a missed weight would leave
         # the total below the number of tableaux
         assert sum(m for _, m in weights) == hook_content_dimension(n + 1, lam), hw
+
+
+@pytest.mark.parametrize("name", GRID_TYPES)
+def test_root_datum_carries_root_weights_and_weyl_denominator(name):
+    """Freudenthal reads each root's fundamental coordinates from the datum
+    and the dimension formula its cached denominator; both against the
+    pairings computed here from the Cartan matrix."""
+    st = SimpleType.parse(name)
+    rs = build_root_system(st)
+    assert rs.root_weights == tuple(root_weight(rs, beta) for beta in rs.positive_roots)
+    rho = (1,) * rs.rank
+    assert reps._weyl_denominator(st) == math.prod(
+        pairing(rs, rho, beta) for beta in rs.positive_roots)
+    for beta, u in zip(rs.positive_roots, reps._scaled_roots(st)):
+        for i in range(rs.rank):
+            assert u[i] == pairing(rs, tuple(int(j == i) for j in range(rs.rank)), beta)
+
+
+def test_a1_string_sums_reach_the_dimension_bound():
+    """A1 (99999), the largest weight the dimension bound admits, has the
+    weights k, k - 2, ..., -k once each; memoized string sums make it linear
+    in k (Freudenthal's strings walked afresh from each weight took about
+    an hour)."""
+    k = 99_999
+    start = time.monotonic()
+    weights = _simple_weight_multiset.__wrapped__(SimpleType("A", 1), (k,))
+    assert time.monotonic() - start < 10
+    assert weights == tuple(((w,), 1) for w in range(-k, k + 1, 2))
+
+
+@pytest.mark.parametrize("name,hw", [
+    ("A2", (12, 9)), ("A3", (3, 2, 3)), ("B2", (7, 4)), ("C3", (3, 1, 2)),
+    ("D4", (2, 1, 0, 1)), ("F4", (1, 0, 0, 1)), ("G2", (6, 5)),
+])
+def test_multiplicities_past_the_grid_satisfy_the_weyl_character_formula(name, hw):
+    """Weights whose strings cross many others, with multiplicities up to
+    412 (G2 (6, 5)), beyond the pinned grid's coordinate sums."""
+    st = SimpleType.parse(name)
+    check_weight_multiset(build_root_system(st).cartan_matrix, hw,
+                          _simple_weight_multiset(st, hw))
 
 
 def test_dimension_bound_enforced():
