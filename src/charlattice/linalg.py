@@ -1,13 +1,19 @@
 """Small exact linear algebra on integer matrices.
 
-Vectors are tuples of ints, matrices are tuples of row vectors.  Everything
-rests on one fraction-free elimination of integer rows and is exact; nothing
-ever touches a float.  Fractions appear only in results that are rational by
-nature (inverses and solutions), never in the elimination itself.
+Vectors are tuples of ints, matrices are tuples of row vectors.  Two
+eliminations of integer rows do the work, both exact; nothing ever touches a
+float.  The rank and the pivot columns stream the rows into a gcd-reduced
+echelon basis, which stops once it spans every column; the determinant,
+adjugate and solutions come from one fraction-free Gauss-Jordan elimination.
+Fractions appear only in results that are rational by nature (inverses and
+solutions), never in an elimination.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import chain
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,6 +47,11 @@ def identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _check_integers(rows: Sequence[Sequence]) -> None:
+    if {*map(type, chain.from_iterable(rows))} - {int}:
+        raise TypeError("elimination takes integer rows only")
+
+
 def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)).
 
@@ -57,9 +68,8 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
     is the determinant of the rows over the pivot columns (1 when there are
     no pivots).
     """
+    _check_integers(rows)
     work = [list(row) for row in rows]
-    if not all(type(x) is int for row in work for x in row):
-        raise TypeError("elimination takes integer rows only")
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -92,19 +102,54 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
     return work, pivots, d
 
 
+def _echelon(rows: Sequence[Sequence]) -> list[tuple[int, list[int]]]:
+    """An echelon basis of the span of integer rows, as (leading column, row)
+    pairs ordered by column.
+
+    The rows must hold ints only; any other entry, in any row, raises
+    TypeError.  Each row in turn is reduced by the basis rows in column
+    order, which clears its entry at each leading column in turn and never
+    brings back one already cleared; a nonzero remainder is divided by the
+    gcd of its entries and joins the basis at its own leading column.  The
+    stream stops once every column leads a basis row, as no later row can
+    add one.
+    """
+    _check_integers(rows)
+    ncols = len(rows[0]) if rows else 0
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        v = list(row)
+        for c, b in basis:
+            f = v[c]
+            if f:
+                p = b[c]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                v = [p * x - f * y for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*v)
+        insort(basis, (lead, [x // g for x in v] if g > 1 else v))
+    return basis
+
+
 def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
     """Pivot columns of the reduced row echelon form of rows, left to right.
 
-    Column j is a pivot exactly when it is independent of the columns before
-    it, so pivot_columns(transpose(vectors)) is the greedy left-to-right
-    choice of independent vectors from a list.
+    They are the leading columns of the vectors of the row space, so those
+    of any echelon basis of it.  Column j is a pivot exactly when it is
+    independent of the columns before it, so pivot_columns(transpose(vectors))
+    is the greedy left-to-right choice of independent vectors from a list.
     """
-    return _eliminate(rows)[1]
+    return [c for c, _ in _echelon(rows)]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of the listed row vectors."""
-    return len(pivot_columns(rows))
+    return len(_echelon(rows))
 
 
 def det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, Mat]:

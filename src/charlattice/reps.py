@@ -286,14 +286,18 @@ def weight_multiset(
         _simple_weight_multiset(st, coords)
         for st, coords in zip(alg.factors, hw.by_factor)
     ]
-    counts: dict[Coords, int] = {}
-    for combo in itertools.product(*per_factor):
-        w = tuple(itertools.chain.from_iterable(item[0] for item in combo))
-        m = 1
-        for item in combo:
-            m *= item[1]
-        counts[w] = counts.get(w, 0) + m
-    fc = FormalCharacter.from_counts(alg, counts)
+    if len(per_factor) == 1:
+        # already the sorted (weight, multiplicity) pairs from_counts would give
+        fc = FormalCharacter(algebra=alg, weights=per_factor[0])
+    else:
+        counts: dict[Coords, int] = {}
+        for combo in itertools.product(*per_factor):
+            w = tuple(itertools.chain.from_iterable(item[0] for item in combo))
+            m = 1
+            for item in combo:
+                m *= item[1]
+            counts[w] = counts.get(w, 0) + m
+        fc = FormalCharacter.from_counts(alg, counts)
     if fc.size != dim:
         raise AssertionError(f"weight multiset size {fc.size} != dimension {dim}")
     return fc
@@ -412,6 +416,7 @@ def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int],
             value += 1
 
     extend([], 1)
+    del extend  # it holds itself through its closure; this breaks the cycle
     return tuple(sorted(out, key=lambda t: (t[1], t[0])))
 
 
@@ -438,6 +443,7 @@ def enumerate_irreps_up_to_dim(alg: SemisimpleAlgebra, dmax: int) -> tuple[tuple
             build(i + 1, chosen + [coords], dim_so_far * d)
 
     build(0, [], 1)
+    del build  # as in _enumerate_simple: no cycle left behind
     combos.sort(key=lambda t: (t[1], t[0].flat()))
     return tuple(combos)
 

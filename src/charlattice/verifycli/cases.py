@@ -249,7 +249,12 @@ def _partitions(n: int):
         for part in range(min(remaining, largest), 0, -1):
             for tail in rec(remaining - part, part):
                 yield (part,) + tail
-    yield from rec(n, n)
+    try:
+        yield from rec(n, n)
+    finally:
+        # rec holds itself through its closure; dropping the name breaks
+        # that cycle, so nothing waits for the garbage collector
+        del rec
 
 
 def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = False):
@@ -286,8 +291,9 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = F
     # one copy of irreps[i] and the factors it leaves uncovered
     fits: dict[tuple[int, int], list[int]] = {}
     out: list[tuple[int, ...]] = []
+    chosen: list[int] = []  # the sum so far, as a stack of indices
 
-    def rec(start: int, remaining: int, covered: int, chosen: list[int]):
+    def rec(start: int, remaining: int, covered: int):
         if remaining == 0:
             if covered == full:
                 out.append(tuple(chosen))
@@ -304,10 +310,14 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = F
                 return
             d = dims[i]
             now = covered | support[i]
-            for copies in range((remaining - need[full ^ now]) // d, 0, -1):
-                rec(i + 1, remaining - copies * d, now, chosen + [i] * copies)
+            most = (remaining - need[full ^ now]) // d
+            chosen.extend([i] * most)
+            for copies in range(most, 0, -1):
+                rec(i + 1, remaining - copies * d, now)
+                chosen.pop()
 
-    rec(0, total, 0, [])
+    rec(0, total, 0)
+    del rec  # as in _partitions: no cycle left behind
     return out if indices else [tuple(irreps[i] for i in combo) for combo in out]
 
 
@@ -334,42 +344,84 @@ def _weight_set(alg: SemisimpleAlgebra, hw: HighestWeight) -> frozenset[Coords] 
                                                       for factor in per_factor)))
 
 
-def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int) -> bool:
+def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int,
+                  negated: frozenset[Coords] | set[Coords] | None = None) -> bool:
     """Whether the set weights, of rank r = m // 2, is +-v_1, ..., +-v_r plus
-    zero exactly when m is odd, with v_1, ..., v_r a basis."""
+    zero exactly when m is odd, with v_1, ..., v_r a basis.  negated is the
+    set of the weights' negatives, built here when not given."""
     r = m // 2
     zero = (0,) * r
+    if negated is None:
+        negated = {tuple(-c for c in w) for w in weights}
     return (len(weights) == m and (zero in weights) == (m % 2 == 1)
-            and all(tuple(-c for c in w) in weights for w in weights)
+            and negated == weights
             and linalg.rank([w for w in weights if w > zero]) == r)
 
 
-def _is_so_standard(summands, m: int) -> bool:
-    """Whether a sum of dimension m whose summands have the weight sets
-    summands (each a frozenset, or None for one with a multiplicity above 1)
-    has the weights +-v_1, ..., +-v_r and 0 when m is odd, each once, with v
-    a basis: each summand has multiplicity-free weights, no two summands
-    share one, and their union has the signed-basis shape.  The summands'
-    dimensions add up to m, so every early False is one that _signed_basis
-    would give on the union of their weights too; a repeated irreducible
-    fails as two summands sharing every weight, and a trivial summand at
-    even m fails the zero clause."""
-    weights: set[Coords] = set()
-    for summand in summands:
-        if summand is None or not weights.isdisjoint(summand):
-            return False
-        weights |= summand
-    return _signed_basis(weights, m)
-
-
-def _matches_so_standard(alg: SemisimpleAlgebra, combo, m: int) -> bool:
-    """_is_so_standard on a sum from _faithful_sums over alg, through the
-    summands' _weight_set."""
-    return _is_so_standard((_weight_set(alg, hw) for hw, _ in combo), m)
-
-
-# An irreducible whose weight set case_so_selfdual has not looked up yet.
+# An irreducible whose weight set a sweep has not built yet.
 _UNSET = object()
+
+
+class _SoSweep:
+    """What so-selfdual reads of one all-type-A algebra of rank r for both
+    m = 2r and m = 2r + 1: the irreducibles of dimension at most 2r + 1, in
+    enumerate_irreps_up_to_dim's order, so those of dimension at most m are
+    a prefix; the indices of those that break the dimension chain; and, on
+    first use, each irreducible's weight set with its negation (None when a
+    weight has multiplicity above 1) and whether it is self-dual."""
+
+    def __init__(self, alg: SemisimpleAlgebra, ceiling: int) -> None:
+        self.alg = alg
+        self.irreps = enumerate_irreps_up_to_dim(alg, ceiling)
+        self.dims = [d for _, d in self.irreps]
+        ranks = [f.rank for f in alg.factors]
+        self.chain_breaks: list[int] = []
+        for i, (hw, d) in enumerate(self.irreps):
+            support = [rank for rank, coords in zip(ranks, hw.by_factor) if any(coords)]
+            if support and not 1 + sum(support) <= math.prod(1 + k for k in support) <= d:
+                self.chain_breaks.append(i)
+        self._sets: list = [_UNSET] * len(self.irreps)
+        self._self_dual: dict[int, bool] = {}
+
+    def _signed_sets(self, i: int):
+        got = self._sets[i]
+        if got is _UNSET:
+            weights = _weight_set(self.alg, self.irreps[i][0])
+            got = self._sets[i] = (None if weights is None else
+                                   (weights, frozenset(tuple(-c for c in w) for w in weights)))
+        return got
+
+    def matches(self, combo: tuple[int, ...], m: int) -> bool:
+        """Whether the sum of the irreducibles at the indices combo, of
+        dimension m, has the weights +-v_1, ..., +-v_r and 0 when m is odd,
+        each once, with v a basis: each summand has multiplicity-free
+        weights, no two summands share one, and their union has the
+        signed-basis shape, its negation being the union of the summands'
+        negations.  The dimensions add up to m, so every early False is one
+        that _signed_basis would give on the union of the weights too; a
+        repeated irreducible fails as two summands sharing every weight.  A
+        summand's sets are not built when an earlier summand fails."""
+        weights: set[Coords] = set()
+        negated: set[Coords] = set()
+        for i in combo:
+            got = self._signed_sets(i)
+            if got is None or not weights.isdisjoint(got[0]):
+                return False
+            weights |= got[0]
+            negated |= got[1]
+        return _signed_basis(weights, m, negated)
+
+    def self_dual(self, i: int) -> bool:
+        got = self._self_dual.get(i)
+        if got is None:
+            hw = self.irreps[i][0]
+            got = self._self_dual[i] = dual_highest_weight(self.alg, hw) == hw
+        return got
+
+
+# One sweep per algebra and ceiling 2r + 1, kept for the life of the process;
+# the so-selfdual domain, m <= 16, bounds them to the 66 algebras of rank <= 8.
+_so_sweep = lru_cache(maxsize=None)(_SoSweep)
 
 
 def case_so_selfdual(m: int) -> Outcome:
@@ -383,16 +435,19 @@ def case_so_selfdual(m: int) -> Outcome:
     linear bijection carrying the reference onto C; conversely, any linear
     bijection T sends +-e_i to +-T(e_i), each once, and T(e) is a basis.  The
     case checks the shape of its reference first, then decides every sum
-    from _faithful_sums over each all-type-A algebra of rank r, as indices, with
-    _is_so_standard, which reads a sum from its summands' weight sets: they
-    must be multiplicity-free, pairwise disjoint, and together of the
-    reference's shape.  Each algebra keeps a list of its irreducibles'
-    weight sets, filled from _weight_set (built once per algebra and highest
-    weight in a process) the first time a sum uses the irreducible, so a
-    summand is looked up by its index.  The Gram search
-    same_formal_character gives the same verdict on every sum; it is the
-    tests' oracle for this case.  Self-duality is checked once per distinct
-    nontrivial summand of a match."""
+    from _faithful_sums over each all-type-A algebra of rank r, as indices,
+    with _SoSweep.matches, which reads a sum from its summands' weight sets:
+    they must be multiplicity-free, pairwise disjoint, and together of the
+    reference's shape.  The Gram search same_formal_character gives the same
+    verdict on every sum; it is the tests' oracle for this case.
+
+    m = 2r and m = 2r + 1 share one _SoSweep per algebra, kept for the life
+    of the process.  Sharing changes nothing they read: the irreducibles of
+    dimension at most m are a prefix of those up to 2r + 1, in the same
+    order, so _faithful_sums lists the same sums by the same indices; an
+    irreducible's weight sets, self-duality and dimension chain do not
+    depend on m, and the chain is reported only for dimensions up to m.
+    Self-duality is checked once per distinct summand of a match."""
     st = _Steps()
     ref_name, ref_hw = _so_standard(m)
     ref_alg = SemisimpleAlgebra.parse(ref_name)
@@ -403,49 +458,28 @@ def case_so_selfdual(m: int) -> Outcome:
     if not (ref.size == m and _signed_basis(frozenset(ref.distinct()), m)):
         raise AssertionError(f"{ref_name} {ref_hw} is not a signed basis")
 
-    rank = m // 2
     algebras = [
         SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
-        for part in _partitions(rank)
+        for part in _partitions(m // 2)
     ]
     n_candidates = 0
     n_matches = 0
     dual_violations: set[str] = set()
-    chain_violations: list[str] = []
+    chain_violations: set[str] = set()
 
     for alg in algebras:
-        ranks = tuple(f.rank for f in alg.factors)
-        irreps = enumerate_irreps_up_to_dim(alg, m)
-        for hw, d in irreps:
-            support = [j for j in range(len(ranks))
-                       if any(hw.by_factor[j])]
-            if not support:
-                continue
-            lower = 1 + sum(ranks[j] for j in support)
-            middle = 1
-            for j in support:
-                middle *= 1 + ranks[j]
-            if not lower <= middle <= d:
-                chain_violations.append(f"{alg}:{hw}")
-        sets: list = [_UNSET] * len(irreps)
-
-        def summand(i: int):
-            got = sets[i]
-            if got is _UNSET:
-                got = sets[i] = _weight_set(alg, irreps[i][0])
-            return got
-
+        sweep = _so_sweep(alg, m | 1)
+        irreps = sweep.irreps[:bisect_right(sweep.dims, m)]
+        chain_violations.update(f"{alg}:{irreps[i][0]}"
+                                for i in sweep.chain_breaks if i < len(irreps))
         matched: set[int] = set()  # indices of the summands of matches
         for combo in _faithful_sums(alg, irreps, m, indices=True):
             n_candidates += 1
-            if not _is_so_standard(map(summand, combo), m):
-                continue
-            n_matches += 1
-            matched.update(combo)
-        for i in matched:
-            hw = irreps[i][0]
-            if any(hw.flat()) and dual_highest_weight(alg, hw) != hw:
-                dual_violations.add(f"{alg}:{hw}")
+            if sweep.matches(combo, m):
+                n_matches += 1
+                matched.update(combo)
+        dual_violations.update(f"{alg}:{irreps[i][0]}"
+                               for i in matched if not sweep.self_dual(i))
 
     st.hold("at least one equal-rank type A character sum matches",
             n_matches >= 1, "exhaustive sweep over faithful character sums")
@@ -454,7 +488,7 @@ def case_so_selfdual(m: int) -> Outcome:
              "dual highest weight comparison on each summand")
     st.check("the dimension chain 1 + sum(m_i) <= prod(1 + m_i) <= dim holds "
              "for every faithful irreducible on its support",
-             sorted(set(chain_violations)), [],
+             sorted(chain_violations), [],
              "minimal faithful dimension of a type A product")
     return st.done(algebras=len(algebras), candidates=n_candidates,
                    matches=n_matches)
@@ -731,17 +765,18 @@ _CASES: dict[str, Domain] = {
     "sl2k-selfdual-exclusions": Domain(case_sl2k_selfdual_exclusions),
     "sl2k-nonselfdual-dims": Domain(case_sl2k_nonselfdual_dims),
     "e6-parity": Domain(case_e6_parity),
-    # m = 16 takes 0.16-0.27 s (0.42-0.81 s before _faithful_sums walked only
-    # the irreducibles that fit): 8160 sums, 792 matches.
+    # m = 16 takes 0.13-0.18 s, and 0.09 s again in one process, where its
+    # sweeps are kept: 8160 sums, 792 matches.
     "so-selfdual": Domain(case_so_selfdual, {"m": (3, 5, 16)}),
     # D_m starts at m = 4; m = 16 takes 0.02 s.
     "so2m-conj-zero": Domain(case_so2m_conj_zero, {"m": (4, 4, 16)}),
     "g2-sl3-coincidence": Domain(case_g2_sl3_coincidence),
     # A rank above 20 is refused before any work (A150 ran 10 s cold).  Up to
     # it the dimension bound 100000 of weight_multiset governs: A16 (1,0,0,0,1,
-    # 0,...), dimension 92820, takes 2.3-3.0 s, where A40 (2,0,...,0,1),
+    # 0,...), dimension 92820, takes 1.3-1.6 s (2.0-2.1 s when its rank
+    # eliminated all 30940 maximal-norm weights), where A40 (2,0,...,0,1),
     # dimension 35260, took 8.4 s.  A1 (k) is linear in k now that
-    # Freudenthal sums each root string once: k = 99999 takes 1.0-1.7 s cold
+    # Freudenthal sums each root string once: k = 99999 takes 0.83-0.92 s cold
     # (22 s at k = 8000 when every string was walked afresh).
     "max-norm-bound": Domain(
         case_max_norm_bound, free={"algebra": "A2", "hw": "1,1"},

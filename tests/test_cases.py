@@ -20,10 +20,9 @@ from charlattice.reps import (FormalCharacter, HighestWeight, SemisimpleAlgebra,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli import cases as cases_module
-from charlattice.verifycli.cases import (_CASES, CaseError, _faithful_sums,
-                                         _matches_so_standard, _partitions, _signed_basis,
-                                         _so_standard, allowed_pairs, default_suite,
-                                         run_case)
+from charlattice.verifycli.cases import (_CASES, CaseError, _faithful_sums, _partitions,
+                                         _signed_basis, _so_standard, allowed_pairs,
+                                         default_suite, run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -70,6 +69,13 @@ def so_selfdual_pairs():
                                                        for hw, _ in combo))
 
 
+def sweep_matches(alg, combo, m):
+    """so-selfdual's decision on a sum of (highest weight, dimension) pairs,
+    made by the sweep the case reads at m."""
+    sweep = cases_module._so_sweep(alg, m | 1)
+    return sweep.matches(tuple(sweep.irreps.index(irrep) for irrep in combo), m)
+
+
 def first_failed_check(fc1, fc2):
     """The first of the cheap checks that tells fc1 and fc2 apart, computed
     here from the weights; 'none' if all agree."""
@@ -107,7 +113,7 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     assert [per_m[m] for m in range(3, 10)] == [2, 2, 4, 5, 11, 11, 28]
     # so-selfdual's own decision gives the Gram search's verdict on every candidate
     assert len(cases) == 193
-    assert [_matches_so_standard(alg, combo, m) for m, _, alg, combo, _ in cases] == verdicts
+    assert [sweep_matches(alg, combo, m) for m, _, alg, combo, _ in cases] == verdicts
 
 
 def test_weight_set_agrees_with_the_weight_multiset():
@@ -155,7 +161,7 @@ def irreps_of(alg, *flats):
     (13, "A2+A4", [(0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0)], "multiplicity above 1"),
 ])
 def test_each_early_rejection_is_a_sum_with_no_witness(m, name, flats, rejection):
-    """A faithful sum for each way _matches_so_standard rejects a sum before
+    """A faithful sum for each way so-selfdual's decision rejects a sum before
     the signed-basis clauses: the sum is refused, and the Gram search finds
     no linear bijection onto the reference either."""
     alg = SemisimpleAlgebra.parse(name)
@@ -166,7 +172,7 @@ def test_each_early_rejection_is_a_sum_with_no_witness(m, name, flats, rejection
                "two summands share a weight": None not in sets and any(
                    not a.isdisjoint(b) for a, b in itertools.combinations(sets, 2))}
     assert [k for k, v in applies.items() if v] == [rejection]
-    assert not _matches_so_standard(alg, combo, m)
+    assert not sweep_matches(alg, combo, m)
     cand = direct_sum(*(weight_multiset(alg, hw) for hw, _ in combo))
     assert same_formal_character(so_selfdual_reference(m), cand) is None
 
@@ -195,7 +201,7 @@ def test_signed_basis_needs_a_basis():
 
 
 def test_so_selfdual_makes_no_gram_search(monkeypatch):
-    """so-selfdual decides every candidate with _matches_so_standard, so it makes no
+    """so-selfdual decides every candidate with _SoSweep.matches, so it makes no
     same_formal_character call; the counts of candidates and matches are
     those test_invariant_filter_keeps_every_so_selfdual_verdict gets by
     searching every candidate."""
@@ -344,10 +350,11 @@ def test_sl2k_selfdual_closed_forms_match_the_character(k):
 def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     # Every weight multiset checks its dimension bound and every exhaustive
     # enumeration meets a weight again per algebra, so the battery asks for
-    # 386 simple-factor dimensions; the memo computes each of the 54
-    # distinct (type, weight) pairs once.  Fresh caches, so-selfdual's
-    # summand weight sets among them, make the counts independent of what
-    # ran before.
+    # 319 simple-factor dimensions (386 when so-selfdual enumerated each
+    # algebra afresh for m = 2r and m = 2r + 1); the memo computes each of
+    # the 54 distinct (type, weight) pairs once.  Fresh caches, so-selfdual's
+    # sweeps and summand weight sets among them, make the counts independent
+    # of what ran before.
     compute = reps._factor_dimension.__wrapped__
     asked, computed = [], []
 
@@ -365,9 +372,10 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     monkeypatch.setattr(reps, "_enumerate_simple",
                         lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
     cases_module._weight_set.cache_clear()
+    cases_module._so_sweep.cache_clear()
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict
-    assert (len(asked), len(computed), len(set(computed))) == (386, 54, 54)
+    assert (len(asked), len(computed), len(set(computed))) == (319, 54, 54)
 
 
 # Joint bounds over text parameters: the parameters that sit at a joint value.

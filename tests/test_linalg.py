@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,68 @@ def test_pivots_and_rank_match_reference(m):
     _, pivots = reference_rref(m)
     assert linalg.pivot_columns(m) == pivots
     assert linalg.rank(m) == len(pivots)
+
+
+@st.composite
+def streamed_matrices(draw):
+    """Integer matrices for the streamed rank: wide, tall or square, with
+    entries up to 10^6 in size, some rows combining earlier ones, zero rows,
+    and no rows at all."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 8))
+    bound = draw(st.sampled_from([2, 10 ** 6]))
+    entries = st.integers(-bound, bound)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "free", "combination", "zero"]))
+        if kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(streamed_matrices())
+def test_streamed_rank_matches_reference(m):
+    _, pivots = reference_rref(m)
+    assert linalg.rank(m) == len(pivots)
+    assert linalg.pivot_columns(m) == pivots
+
+
+def test_streamed_rank_stops_at_full_column_rank(monkeypatch):
+    """2,000 rows of 8 columns whose rank reaches 8 within the first 11 rows:
+    the rows past that point are never reduced (each reduction takes a gcd),
+    and the rank and pivots agree with the reference all the same.  Every
+    row's entries are still checked to be ints."""
+    rng = random.Random(8)
+    head = [tuple(rng.randint(-9, 9) for _ in range(8)) for _ in range(8)]
+    head[3] = tuple(2 * x - y for x, y in zip(head[0], head[1]))  # rank 7 so far
+    head.insert(5, (0,) * 8)
+    head.insert(6, tuple(x + y for x, y in zip(head[1], head[2])))
+    head.append(tuple(rng.randint(-9, 9) for _ in range(8)))
+    tail = [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(8)) for _ in range(1989)]
+    rows = head + tail
+    assert len(rows) == 2000
+    _, pivots = reference_rref(rows)
+    assert pivots == list(range(8))
+    gcds = []
+    counted = linalg.gcd
+
+    def counting(*args):
+        gcds.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counting)
+    assert linalg.rank(rows) == 8
+    assert linalg.pivot_columns(rows) == pivots
+    # one gcd per pivot reached and one per new basis row, for 11 rows each
+    assert 0 < len(gcds) <= 2 * 11 * 9
+    with pytest.raises(TypeError, match="integer rows only"):
+        linalg.rank(rows[:-1] + [(Fraction(1, 2),) + rows[-1][1:]])
 
 
 @settings(max_examples=150, deadline=None)

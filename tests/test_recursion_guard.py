@@ -3,11 +3,19 @@
 Python's recursion limit turns a deep enough input into a RecursionError, so
 a search whose depth grows with the input must keep its own stack.  The scan
 finds every function that calls itself by name (or through self/cls, for a
-method); each allowed one is listed with the bound on its depth.
+method); each allowed one is listed with the bound on its depth.  A nested
+function that calls itself holds itself through its closure, a reference
+cycle that keeps everything it reaches alive until the garbage collector
+runs, so the closures of reps and cases drop their own names when done.
 """
 
 import ast
+import gc
 from pathlib import Path
+
+from charlattice import reps
+from charlattice.reps import SemisimpleAlgebra
+from charlattice.verifycli import cases
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "charlattice"
 
@@ -66,3 +74,21 @@ def test_only_bounded_functions_call_themselves():
     found = self_calling_functions()
     assert found - ALLOWED == set(), "unbounded self-recursion; keep an explicit stack"
     assert ALLOWED - found == set(), "allowlist entry no longer calls itself"
+
+
+def test_recursive_closures_leave_no_cyclic_garbage():
+    """One call each of reps._enumerate_simple.extend,
+    reps.enumerate_irreps_up_to_dim.build, cases._partitions.rec and
+    cases._faithful_sums.rec, with the caches cleared so that each runs, and
+    the collector off: it then finds nothing to collect."""
+    alg = SemisimpleAlgebra.parse("A1+A2")
+    reps._enumerate_simple.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        irreps = reps.enumerate_irreps_up_to_dim(alg, 9)
+        assert len(cases._faithful_sums(alg, irreps, 9)) > 0
+        assert len(list(cases._partitions(6))) == 11
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
