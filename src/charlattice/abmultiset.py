@@ -450,19 +450,20 @@ def factorizations(c: GroupMultiset, profile: tuple[int, ...]) -> tuple[Decompos
     # packing (see `_Packing`); only the kept decompositions are decoded.
     pk = _Packing(c.group, _radius(c.elems))
 
-    def recurse(target: list[tuple[int, int]], shape: tuple[int, ...]):
-        if len(shape) == 1:
-            yield (target,)
-            return
-        rest = 1
-        for s in shape[1:]:
-            rest *= s
-        for a_items, b_items in _binary_factorizations(pk, target, shape[0], rest):
-            for tail in recurse(b_items, shape[1:]):
-                yield (a_items,) + tail
+    # level: the factors split off so far, with the rest still to split;
+    # each level lists a partial's splits in order, so the full
+    # factorizations come in the order of a depth-first search
+    level = [((), [(pk.pack(e), m) for e, m in c.elems])]
+    rest = prod
+    for size in sizes[:-1]:
+        rest //= size
+        level = [(done + (a_items,), b_items)
+                 for done, target in level
+                 for a_items, b_items in _binary_factorizations(pk, target, size, rest)]
 
     found: dict[tuple, tuple] = {}
-    for factors in recurse([(pk.pack(e), m) for e, m in c.elems], sizes):
+    for done, last in level:
+        factors = done + (last,)
         k = _key(zip(sizes, (_canonical_codes(pk, f) for f in factors)))
         if k not in found:
             found[k] = factors

@@ -26,22 +26,21 @@ MAX_FACTORS = 6
 
 def _compatible_partitions(factors: tuple[SimpleType, ...]):
     """All partitions of the index set whose blocks have a single type, each
-    once, as a tuple of 0-based index blocks ordered by their least index."""
+    once, as a tuple of 0-based index blocks ordered by their least index.
 
-    def grow(i: int, blocks: list[list[int]]):
-        if i == len(factors):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            if factors[b[0]] == factors[i]:
-                b.append(i)
-                yield from grow(i + 1, blocks)
-                b.pop()
-        blocks.append([i])
-        yield from grow(i + 1, blocks)
-        blocks.pop()
-
-    yield from grow(0, [])
+    They are grown one index at a time: each partition of the indices below
+    i, in order, gives i to each of its blocks of the same type and then a
+    block of its own, so they come in the order of a depth-first search."""
+    level: list[tuple[tuple[int, ...], ...]] = [()]
+    for i, stype in enumerate(factors):
+        longer = []
+        for blocks in level:
+            for k, b in enumerate(blocks):
+                if factors[b[0]] == stype:
+                    longer.append(blocks[:k] + (b + (i,),) + blocks[k + 1:])
+            longer.append(blocks + ((i,),))
+        level = longer
+    return level
 
 
 @record

@@ -278,26 +278,24 @@ def weight_multiset(
     hw: HighestWeight,
     dim_bound: int = DEFAULT_DIMENSION_BOUND,
 ) -> FormalCharacter:
-    """Full weight multiset of an irreducible, as a FormalCharacter."""
+    """Full weight multiset of an irreducible, as a FormalCharacter.
+
+    The multiset is the product of the simple factors' multisets, taken in
+    factor order: weights concatenated, multiplicities multiplied.  Each
+    factor's pairs are sorted, with distinct weights of one length, so the
+    product, run in lexicographic order, is already the sorted tuple of
+    distinct pairs that FormalCharacter.from_counts would give.  A single
+    factor's tuple is taken as it is.  The size is checked against the Weyl
+    dimension."""
     dim = weyl_dimension(alg, hw)
     if dim > dim_bound:
         raise DimensionBoundError(f"dimension {dim} exceeds bound {dim_bound}")
-    per_factor = [
-        _simple_weight_multiset(st, coords)
-        for st, coords in zip(alg.factors, hw.by_factor)
-    ]
-    if len(per_factor) == 1:
-        # already the sorted (weight, multiplicity) pairs from_counts would give
-        fc = FormalCharacter(algebra=alg, weights=per_factor[0])
-    else:
-        counts: dict[Coords, int] = {}
-        for combo in itertools.product(*per_factor):
-            w = tuple(itertools.chain.from_iterable(item[0] for item in combo))
-            m = 1
-            for item in combo:
-                m *= item[1]
-            counts[w] = counts.get(w, 0) + m
-        fc = FormalCharacter.from_counts(alg, counts)
+    per_factor = [_simple_weight_multiset(st, coords)
+                  for st, coords in zip(alg.factors, hw.by_factor)]
+    weights = per_factor[0]
+    for factor in per_factor[1:]:
+        weights = tuple((w + v, m * n) for w, m in weights for v, n in factor)
+    fc = FormalCharacter(algebra=alg, weights=weights)
     if fc.size != dim:
         raise AssertionError(f"weight multiset size {fc.size} != dimension {dim}")
     return fc
@@ -397,27 +395,24 @@ def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int],
     """Highest weights and dimensions of the irreducibles of one simple type
     of dimension at most dmax, sorted by (dimension, weight)."""
     rank = stype.rank
-    out: list[tuple[Coords, int]] = []
-
-    def extend(prefix: list[int], dim: int) -> None:
-        # dim is the dimension at prefix padded with zeros, and at most dmax.
-        pos = len(prefix)
-        if pos == rank:
-            out.append((tuple(prefix), dim))
-            return
-        extend(prefix + [0], dim)
-        value = 1
-        while True:
-            candidate = prefix + [value]
-            dim_here = _factor_dimension(stype, tuple(candidate + [0] * (rank - pos - 1)))
-            if dim_here > dmax:
-                break
-            extend(candidate, dim_here)
-            value += 1
-
-    extend([], 1)
-    del extend  # it holds itself through its closure; this breaks the cycle
-    return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+    # level: the prefixes of one length, each with the dimension of the
+    # weight it gives padded with zeros, which is at most dmax
+    level: list[tuple[Coords, int]] = [((), 1)]
+    for pos in range(rank):
+        pad = (0,) * (rank - pos - 1)
+        longer = []
+        for prefix, dim in level:
+            longer.append((prefix + (0,), dim))
+            value = 1
+            while True:
+                candidate = prefix + (value,)
+                dim_here = _factor_dimension(stype, candidate + pad)
+                if dim_here > dmax:
+                    break
+                longer.append((candidate, dim_here))
+                value += 1
+        level = longer
+    return tuple(sorted(level, key=lambda t: (t[1], t[0])))
 
 
 def enumerate_irreps_up_to_dim(alg: SemisimpleAlgebra, dmax: int) -> tuple[tuple[HighestWeight, int], ...]:
@@ -430,20 +425,18 @@ def enumerate_irreps_up_to_dim(alg: SemisimpleAlgebra, dmax: int) -> tuple[tuple
     if dmax < 1:
         return ()
     per_factor = [_enumerate_simple(st, dmax) for st in alg.factors]
-    combos: list[tuple[HighestWeight, int]] = []
-
-    def build(i: int, chosen: list[Coords], dim_so_far: int) -> None:
-        if i == len(per_factor):
-            combos.append((HighestWeight(tuple(chosen)), dim_so_far))
-            return
-        budget = dmax // dim_so_far
-        for coords, d in per_factor[i]:
-            if d > budget:
-                break
-            build(i + 1, chosen + [coords], dim_so_far * d)
-
-    build(0, [], 1)
-    del build  # as in _enumerate_simple: no cycle left behind
+    # level: the choices for the factors so far, with their dimension
+    level: list[tuple[tuple[Coords, ...], int]] = [((), 1)]
+    for factor in per_factor:
+        longer = []
+        for chosen, dim in level:
+            budget = dmax // dim
+            for coords, d in factor:
+                if d > budget:
+                    break
+                longer.append((chosen + (coords,), dim * d))
+        level = longer
+    combos = [(HighestWeight(chosen), dim) for chosen, dim in level]
     combos.sort(key=lambda t: (t[1], t[0].flat()))
     return tuple(combos)
 

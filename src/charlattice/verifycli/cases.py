@@ -10,7 +10,6 @@ make up the full verification run.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -26,10 +25,10 @@ from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
 from ..charmatch import (alt_power_stats, conjugation_sums, fixed_point_exists,
                          max_norm_weights, same_formal_character)
 from ..goursat import verify_goursat_lemma
-from ..reps import (HighestWeight, SemisimpleAlgebra, _simple_weight_multiset,
-                    direct_sum, dual_highest_weight, enumerate_irreps_up_to_dim,
-                    irreducible_character, multiplicity_free_catalog,
-                    restrict_to_subsystem, trivial_character, weyl_dimension)
+from ..reps import (HighestWeight, SemisimpleAlgebra, direct_sum, dual_highest_weight,
+                    enumerate_irreps_up_to_dim, irreducible_character,
+                    multiplicity_free_catalog, restrict_to_subsystem, trivial_character,
+                    weight_multiset, weyl_dimension)
 from ..rootsys import (SimpleType, build_root_system, diagram_automorphisms,
                        type_a_equal_rank, weyl_orbit)
 
@@ -240,29 +239,22 @@ def _so_standard(m: int) -> tuple[str, Coords]:
     return f"{'B' if m % 2 else 'D'}{r}", (1,) + (0,) * (r - 1)
 
 
-def _partitions(n: int):
-    """Partitions of n as descending tuples."""
-    def rec(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for tail in rec(remaining - part, part):
-                yield (part,) + tail
-    try:
-        yield from rec(n, n)
-    finally:
-        # rec holds itself through its closure; dropping the name breaks
-        # that cycle, so nothing waits for the garbage collector
-        del rec
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as descending tuples, with no part above largest
+    (n when None)."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(n if largest is None else min(n, largest), 0, -1):
+        for tail in _partitions(n - part, part):
+            yield (part,) + tail
 
 
-def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = False):
+def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int) -> list[tuple[int, ...]]:
     """All multisets of irreducibles of total dimension `total` whose joint
     support covers every factor; repeats allowed, trivial summands allowed.
     irreps is enumerate_irreps_up_to_dim(alg, total), sorted by dimension.
-    A sum is a tuple of (highest weight, dimension) pairs from irreps, or
-    with indices=True the ascending tuple of their indices into irreps.
+    A sum is the ascending tuple of its summands' indices into irreps.
 
     Each level of the recursion picks the next irreducible to use, after the
     last one used, and its number of copies, from the most down to one; so
@@ -317,31 +309,8 @@ def _faithful_sums(alg: SemisimpleAlgebra, irreps, total: int, indices: bool = F
                 chosen.pop()
 
     rec(0, total, 0)
-    del rec  # as in _partitions: no cycle left behind
-    return out if indices else [tuple(irreps[i] for i in combo) for combo in out]
-
-
-@lru_cache(maxsize=None)
-def _weight_set(alg: SemisimpleAlgebra, hw: HighestWeight) -> frozenset[Coords] | None:
-    """The weights of the irreducible hw of alg as a frozenset when each has
-    multiplicity 1, else None; kept for the life of the process, which the
-    so-selfdual domain bounds to irreducibles of dimension at most 16.
-
-    The set is built from the simple factors' multisets, as weight_multiset
-    builds the character, and its size is checked against the Weyl dimension
-    the same way.  A weight of the product has multiplicity 1 exactly when
-    each factor's part has."""
-    dim = weyl_dimension(alg, hw)
-    per_factor = [_simple_weight_multiset(st, coords)
-                  for st, coords in zip(alg.factors, hw.by_factor)]
-    size = math.prod(sum(m for _, m in factor) for factor in per_factor)
-    if size != dim:
-        raise AssertionError(f"weight multiset size {size} != dimension {dim}")
-    if any(m != 1 for factor in per_factor for _, m in factor):
-        return None
-    return frozenset(tuple(itertools.chain.from_iterable(combo))
-                     for combo in itertools.product(*([w for w, _ in factor]
-                                                      for factor in per_factor)))
+    del rec  # it holds itself through its closure; this breaks the cycle
+    return out
 
 
 def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int,
@@ -358,17 +327,15 @@ def _signed_basis(weights: frozenset[Coords] | set[Coords], m: int,
             and linalg.rank([w for w in weights if w > zero]) == r)
 
 
-# An irreducible whose weight set a sweep has not built yet.
-_UNSET = object()
-
-
 class _SoSweep:
     """What so-selfdual reads of one all-type-A algebra of rank r for both
     m = 2r and m = 2r + 1: the irreducibles of dimension at most 2r + 1, in
     enumerate_irreps_up_to_dim's order, so those of dimension at most m are
     a prefix; the indices of those that break the dimension chain; and, on
     first use, each irreducible's weight set with its negation (None when a
-    weight has multiplicity above 1) and whether it is self-dual."""
+    weight has multiplicity above 1) and whether it is self-dual.  The
+    weight set is the distinct weights of weight_multiset, the library's one
+    character builder, which checks the size against the Weyl dimension."""
 
     def __init__(self, alg: SemisimpleAlgebra, ceiling: int) -> None:
         self.alg = alg
@@ -380,16 +347,16 @@ class _SoSweep:
             support = [rank for rank, coords in zip(ranks, hw.by_factor) if any(coords)]
             if support and not 1 + sum(support) <= math.prod(1 + k for k in support) <= d:
                 self.chain_breaks.append(i)
-        self._sets: list = [_UNSET] * len(self.irreps)
+        self._sets: dict[int, tuple[frozenset[Coords], frozenset[Coords]] | None] = {}
         self._self_dual: dict[int, bool] = {}
 
     def _signed_sets(self, i: int):
-        got = self._sets[i]
-        if got is _UNSET:
-            weights = _weight_set(self.alg, self.irreps[i][0])
-            got = self._sets[i] = (None if weights is None else
-                                   (weights, frozenset(tuple(-c for c in w) for w in weights)))
-        return got
+        if i not in self._sets:
+            fc = weight_multiset(self.alg, self.irreps[i][0])
+            weights = frozenset(fc.distinct())
+            self._sets[i] = (None if len(weights) < fc.size else
+                             (weights, frozenset(tuple(-c for c in w) for w in weights)))
+        return self._sets[i]
 
     def matches(self, combo: tuple[int, ...], m: int) -> bool:
         """Whether the sum of the irreducibles at the indices combo, of
@@ -473,7 +440,7 @@ def case_so_selfdual(m: int) -> Outcome:
         chain_violations.update(f"{alg}:{irreps[i][0]}"
                                 for i in sweep.chain_breaks if i < len(irreps))
         matched: set[int] = set()  # indices of the summands of matches
-        for combo in _faithful_sums(alg, irreps, m, indices=True):
+        for combo in _faithful_sums(alg, irreps, m):
             n_candidates += 1
             if sweep.matches(combo, m):
                 n_matches += 1

@@ -16,7 +16,7 @@ import pytest
 from charlattice import charmatch, reps
 from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
 from charlattice.linalg import dot, matvec
-from charlattice.reps import (FormalCharacter, HighestWeight, SemisimpleAlgebra, direct_sum,
+from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
                               enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli import cases as cases_module
@@ -49,7 +49,8 @@ def test_faithful_sums_match_unpruned_recursion(m):
     for part in _partitions(m // 2):
         alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
         irreps = enumerate_irreps_up_to_dim(alg, m)
-        assert _faithful_sums(alg, irreps, m) == reference_faithful_sums(alg, m)
+        assert ([tuple(irreps[i] for i in combo) for combo in _faithful_sums(alg, irreps, m)]
+                == reference_faithful_sums(alg, m))
 
 
 def so_selfdual_reference(m):
@@ -59,21 +60,23 @@ def so_selfdual_reference(m):
 
 def so_selfdual_pairs():
     """(m, reference, algebra, sum, its character) for every candidate sum of
-    so-selfdual, m = 3..9."""
+    so-selfdual, m = 3..9, a sum being its summands' indices into
+    enumerate_irreps_up_to_dim(alg, m)."""
     for m in range(3, 10):
         ref = so_selfdual_reference(m)
         for part in _partitions(m // 2):
             alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
-            for combo in _faithful_sums(alg, enumerate_irreps_up_to_dim(alg, m), m):
-                yield m, ref, alg, combo, direct_sum(*(weight_multiset(alg, hw)
-                                                       for hw, _ in combo))
+            irreps = enumerate_irreps_up_to_dim(alg, m)
+            for combo in _faithful_sums(alg, irreps, m):
+                yield m, ref, alg, combo, direct_sum(*(weight_multiset(alg, irreps[i][0])
+                                                       for i in combo))
 
 
 def sweep_matches(alg, combo, m):
-    """so-selfdual's decision on a sum of (highest weight, dimension) pairs,
-    made by the sweep the case reads at m."""
-    sweep = cases_module._so_sweep(alg, m | 1)
-    return sweep.matches(tuple(sweep.irreps.index(irrep) for irrep in combo), m)
+    """so-selfdual's decision on a sum of indices into
+    enumerate_irreps_up_to_dim(alg, m), made by the sweep the case reads at
+    m, whose irreducibles start with those."""
+    return cases_module._so_sweep(alg, m | 1).matches(combo, m)
 
 
 def first_failed_check(fc1, fc2):
@@ -116,42 +119,6 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
     assert [sweep_matches(alg, combo, m) for m, _, alg, combo, _ in cases] == verdicts
 
 
-def test_weight_set_agrees_with_the_weight_multiset():
-    """_weight_set builds the set from the simple factors' multisets; here
-    it is read off weight_multiset for every irreducible of dimension at
-    most 16 of every all-type-A algebra of rank at most 8."""
-    checked = 0
-    for rank in range(1, 9):
-        for part in _partitions(rank):
-            alg = SemisimpleAlgebra(tuple(SimpleType("A", p) for p in part))
-            for hw, _ in enumerate_irreps_up_to_dim(alg, 16):
-                fc = weight_multiset(alg, hw)
-                expected = (frozenset(fc.distinct())
-                            if all(m == 1 for _, m in fc.weights) else None)
-                assert cases_module._weight_set(alg, hw) == expected, (alg, hw)
-                checked += 1
-    assert checked == 8670
-
-
-def test_weight_set_checks_the_weyl_dimension(monkeypatch):
-    true_dimension = reps._factor_dimension
-    monkeypatch.setattr(reps, "_factor_dimension",
-                        lambda stype, hw: true_dimension(stype, hw) + 1)
-    monkeypatch.setattr(cases_module, "_weight_set",
-                        lru_cache(maxsize=None)(cases_module._weight_set.__wrapped__))
-    with pytest.raises(AssertionError, match="!= dimension"):
-        cases_module._weight_set(SemisimpleAlgebra.parse("A1+A2"),
-                                 HighestWeight(((1,), (1, 0))))
-
-
-def irreps_of(alg, *flats):
-    """The (highest weight, dimension) pairs of alg with the given flat
-    highest weights, in the order _faithful_sums lists them."""
-    irreps = enumerate_irreps_up_to_dim(alg, 16)
-    index = {hw.flat(): i for i, (hw, _) in enumerate(irreps)}
-    return tuple(irreps[i] for i in sorted(index[flat] for flat in flats))
-
-
 @pytest.mark.parametrize("m,name,flats,rejection", [
     # a repeated irreducible shares every weight with its copy
     (5, "A2", [(0, 0), (0, 0), (1, 0)], "two summands share a weight"),
@@ -165,15 +132,19 @@ def test_each_early_rejection_is_a_sum_with_no_witness(m, name, flats, rejection
     the signed-basis clauses: the sum is refused, and the Gram search finds
     no linear bijection onto the reference either."""
     alg = SemisimpleAlgebra.parse(name)
-    combo = irreps_of(alg, *flats)
-    assert combo in _faithful_sums(alg, enumerate_irreps_up_to_dim(alg, m), m)
-    sets = [cases_module._weight_set(alg, hw) for hw, _ in combo]
+    irreps = enumerate_irreps_up_to_dim(alg, m)
+    index = {hw.flat(): i for i, (hw, _) in enumerate(irreps)}
+    combo = tuple(sorted(index[flat] for flat in flats))
+    assert combo in _faithful_sums(alg, irreps, m)
+    # the weight sets the sweep reads, each None when a weight repeats
+    sweep = cases_module._so_sweep(alg, m | 1)
+    sets = [sweep._signed_sets(i) for i in combo]
     applies = {"multiplicity above 1": None in sets,
                "two summands share a weight": None not in sets and any(
-                   not a.isdisjoint(b) for a, b in itertools.combinations(sets, 2))}
+                   not a[0].isdisjoint(b[0]) for a, b in itertools.combinations(sets, 2))}
     assert [k for k, v in applies.items() if v] == [rejection]
     assert not sweep_matches(alg, combo, m)
-    cand = direct_sum(*(weight_multiset(alg, hw) for hw, _ in combo))
+    cand = direct_sum(*(weight_multiset(alg, irreps[i][0]) for i in combo))
     assert same_formal_character(so_selfdual_reference(m), cand) is None
 
 
@@ -353,8 +324,8 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     # 319 simple-factor dimensions (386 when so-selfdual enumerated each
     # algebra afresh for m = 2r and m = 2r + 1); the memo computes each of
     # the 54 distinct (type, weight) pairs once.  Fresh caches, so-selfdual's
-    # sweeps and summand weight sets among them, make the counts independent
-    # of what ran before.
+    # sweeps and the summand weight sets they hold among them, make the
+    # counts independent of what ran before.
     compute = reps._factor_dimension.__wrapped__
     asked, computed = [], []
 
@@ -371,7 +342,6 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
     monkeypatch.setattr(reps, "_factor_dimension", ask)
     monkeypatch.setattr(reps, "_enumerate_simple",
                         lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
-    cases_module._weight_set.cache_clear()
     cases_module._so_sweep.cache_clear()
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict

@@ -291,6 +291,44 @@ def test_dimension_bound_enforced():
     assert fc.size == 64
 
 
+def product_by_counts(alg: SemisimpleAlgebra, hw: HighestWeight) -> FormalCharacter:
+    """The character of hw built by tallying the product of each factor's
+    own one-factor weight_multiset, whatever order the pairs come in."""
+    counts = {(): 1}
+    for st, coords in zip(alg.factors, hw.by_factor):
+        factor = weight_multiset(SemisimpleAlgebra((st,)), HighestWeight((coords,)))
+        tally: dict = {}
+        for w, m in counts.items():
+            for v, n in factor.weights:
+                tally[w + v] = tally.get(w + v, 0) + m * n
+        counts = tally
+    return FormalCharacter.from_counts(alg, counts)
+
+
+@pytest.mark.parametrize("name,dmax", [
+    ("A1+A2", 150), ("A2+G2", 300), ("B2+A1+A1", 150), ("A1+A2+A3", 150)])
+def test_product_of_factors_is_sorted_and_distinct(name, dmax):
+    """weight_multiset takes the product of its factors' sorted pairs in
+    order, without tallying; it is the tallied product, pair for pair, on
+    every irreducible up to dmax, weights of multiplicity above 1 (the G2
+    and B2 adjoints among them) included."""
+    alg = algebra(name)
+    repeated = 0
+    for hw, _ in enumerate_irreps_up_to_dim(alg, dmax):
+        fc = weight_multiset(alg, hw)
+        assert fc.weights == product_by_counts(alg, hw).weights, hw
+        repeated += any(m > 1 for _, m in fc.weights)
+    assert repeated > 0
+
+
+def test_weight_multiset_checks_the_weyl_dimension(monkeypatch):
+    true_dimension = reps._factor_dimension
+    monkeypatch.setattr(reps, "_factor_dimension",
+                        lambda stype, hw: true_dimension(stype, hw) + 1)
+    with pytest.raises(AssertionError, match="!= dimension"):
+        weight_multiset(algebra("A1+A2"), HighestWeight(((1,), (1, 0))))
+
+
 # ---------------------------------------------------------------------------
 # Duality and sums.
 
