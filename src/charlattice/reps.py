@@ -18,7 +18,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     build_root_system,
-    coroot,
     dominant_representative,
     pairing,
     weyl_orbit,
@@ -314,150 +313,17 @@ def dual_highest_weight(alg: SemisimpleAlgebra, hw: HighestWeight) -> HighestWei
     return HighestWeight(tuple(out))
 
 
-# ---------------------------------------------------------------------------
-# The catalog of multiplicity-free irreducibles.
+# benchmarks/spans.py traces these three names under charlattice.reps, their
+# home until the catalog and the enumeration moved to charlattice.catalog.
+# They are looked up there on each access (PEP 562), never stored here, so
+# that a query that does not read the catalog does not compile it, and so that
+# the wrapper a tracer puts on the catalog function is the one found.
+_IN_CATALOG = ("enumerate_irreps_up_to_dim", "multiplicity_free_catalog",
+               "restrict_to_subsystem")
 
 
-@record
-class CatalogEntry:
-    stype: SimpleType
-    hw: Coords
-    dim: int
-    label: str
-
-
-def multiplicity_free_catalog(stype: SimpleType, max_dim: int | None = None) -> tuple[CatalogEntry, ...]:
-    """The multiplicity-free irreducibles of one simple type.
-
-    For type A the list (symmetric and alternating powers of the standard
-    representation and its dual) is infinite, so max_dim is required there.
-    Low-rank coincidences are not collapsed: each type reports its own list
-    verbatim, so e.g. B2 reports both its standard and spin entries even
-    though C2 would present the same algebra differently.
-    """
-    fam, m = stype.family, stype.rank
-    entries: dict[Coords, CatalogEntry] = {}
-
-    def put(node: int, dim: int, label: str, coeff: int = 1) -> None:
-        if max_dim is not None and dim > max_dim:
-            return
-        hw = (0,) * node + (coeff,) + (0,) * (m - 1 - node)
-        if hw not in entries:
-            entries[hw] = CatalogEntry(stype, hw, dim, label)
-
-    if fam == "A":
-        if max_dim is None:
-            raise ValueError("type A catalog is infinite; a max_dim bound is required")
-        # alt^a and alt^(m+1-a) share the dimension C(m+1, a), which grows
-        # with a up to the middle; sym^a has C(m+a, a), which grows with a.
-        # Each loop stops at the first dimension above max_dim.
-        dim = 1
-        for a in range(1, (m + 1) // 2 + 1):
-            dim = dim * (m + 2 - a) // a
-            if dim > max_dim:
-                break
-            for b in {a, m + 1 - a}:
-                put(b - 1, dim, "std" if b == 1 else ("std*" if b == m else f"alt^{b}(std)"))
-        a, dim = 2, (m + 1) * (m + 2) // 2
-        while dim <= max_dim:
-            put(0, dim, f"sym^{a}(std)", a)
-            put(m - 1, dim, f"sym^{a}(std*)", a)
-            a += 1
-            dim = dim * (m + a) // a
-    elif fam == "B":
-        put(0, 2 * m + 1, "std")
-        put(m - 1, 2**m, "spin")
-    elif fam == "C":
-        put(0, 2 * m, "std")
-        if m == 3:
-            put(2, 14, "alt^3(std)-primitive")
-    elif fam == "D":
-        put(0, 2 * m, "std")
-        put(m - 2, 2 ** (m - 1), "half-spin")
-        put(m - 1, 2 ** (m - 1), "half-spin")
-    elif stype == SimpleType("E", 6):
-        put(0, 27, "minuscule")
-        put(5, 27, "minuscule")
-    elif stype == SimpleType("E", 7):
-        put(6, 56, "minuscule")
-    elif stype == SimpleType("G", 2):
-        put(0, 7, "short-fundamental")
-    # E8 and F4 admit no nontrivial multiplicity-free irreducible.
-    return tuple(sorted(entries.values(), key=lambda e: (e.dim, e.hw)))
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive irreducible enumeration under a dimension cap.
-
-
-@lru_cache(maxsize=None)
-def _enumerate_simple(stype: SimpleType, dmax: int) -> tuple[tuple[Coords, int], ...]:
-    """Highest weights and dimensions of the irreducibles of one simple type
-    of dimension at most dmax, sorted by (dimension, weight)."""
-    rank = stype.rank
-    # level: the prefixes of one length, each with the dimension of the
-    # weight it gives padded with zeros, which is at most dmax
-    level: list[tuple[Coords, int]] = [((), 1)]
-    for pos in range(rank):
-        pad = (0,) * (rank - pos - 1)
-        longer = []
-        for prefix, dim in level:
-            longer.append((prefix + (0,), dim))
-            value = 1
-            while True:
-                candidate = prefix + (value,)
-                dim_here = _factor_dimension(stype, candidate + pad)
-                if dim_here > dmax:
-                    break
-                longer.append((candidate, dim_here))
-                value += 1
-        level = longer
-    return tuple(sorted(level, key=lambda t: (t[1], t[0])))
-
-
-def enumerate_irreps_up_to_dim(alg: SemisimpleAlgebra, dmax: int) -> tuple[tuple[HighestWeight, int], ...]:
-    """All irreducibles of dimension at most dmax, sorted by dimension.
-
-    The per-coordinate search stops as soon as the dimension formula exceeds
-    the cap, which is sound because the dimension is strictly monotone in
-    every fundamental coordinate.
-    """
-    if dmax < 1:
-        return ()
-    per_factor = [_enumerate_simple(st, dmax) for st in alg.factors]
-    # level: the choices for the factors so far, with their dimension
-    level: list[tuple[tuple[Coords, ...], int]] = [((), 1)]
-    for factor in per_factor:
-        longer = []
-        for chosen, dim in level:
-            budget = dmax // dim
-            for coords, d in factor:
-                if d > budget:
-                    break
-                longer.append((chosen + (coords,), dim * d))
-        level = longer
-    combos = [(HighestWeight(chosen), dim) for chosen, dim in level]
-    combos.sort(key=lambda t: (t[1], t[0].flat()))
-    return tuple(combos)
-
-
-# ---------------------------------------------------------------------------
-# Restriction to an equal-rank subsystem.
-
-
-def restrict_to_subsystem(fc: FormalCharacter, sub) -> FormalCharacter:
-    """Re-express a character in the fundamental coordinates of a subsystem.
-
-    The subsystem must be a full-rank subsystem of the character's (simple)
-    algebra; the weight multiset itself is unchanged.
-    """
-    if len(fc.algebra.factors) != 1 or fc.algebra.factors[0] != sub.parent:
-        raise AlgebraMismatchError(
-            f"character over {fc.algebra} cannot restrict along a subsystem of {sub.parent}")
-    rs = build_root_system(sub.parent)
-    coroots = [coroot(rs, beta) for beta in sub.selected_roots]
-    counts: dict[Coords, int] = {}
-    for w, m in fc.weights:
-        key = tuple(sum(a * b for a, b in zip(row, w)) for row in coroots)
-        counts[key] = counts.get(key, 0) + m
-    return FormalCharacter.from_counts(SemisimpleAlgebra(sub.component_types), counts)
+def __getattr__(name: str):
+    if name in _IN_CATALOG:
+        from . import catalog
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,15 +22,15 @@ from .. import linalg
 from .._record import record
 from ..abmultiset import (AbGroup, GroupMultiset, factorization_count_bound,
                           factorizations, multiset_product)
+from ..catalog import enumerate_irreps_up_to_dim, restrict_to_subsystem
 from ..charmatch import (alt_power_stats, conjugation_sums, fixed_point_exists,
                          max_norm_weights, same_formal_character)
 from ..goursat import verify_goursat_lemma
 from ..reps import (HighestWeight, SemisimpleAlgebra, direct_sum, dual_highest_weight,
-                    enumerate_irreps_up_to_dim, irreducible_character,
-                    multiplicity_free_catalog, restrict_to_subsystem, trivial_character,
-                    weight_multiset, weyl_dimension)
-from ..rootsys import (SimpleType, build_root_system, diagram_automorphisms,
-                       type_a_equal_rank, weyl_orbit)
+                    irreducible_character, trivial_character, weight_multiset,
+                    weyl_dimension)
+from ..rootsys import SimpleType, build_root_system, weyl_orbit
+from ..subsystems import diagram_automorphisms, type_a_equal_rank
 
 Coords = tuple[int, ...]
 
@@ -618,95 +618,6 @@ def case_factorization_bound(a: int, b: int, seed: int) -> Outcome:
             all(d.sizes == (left.size, right.size) for d in decs),
             "profile bookkeeping")
     return st.done(count=len(decs), bound=bound, product_size=product.size)
-
-
-# ---------------------------------------------------------------------------
-# The catalog gate.
-
-_CATALOG_NOTES = {
-    "std": "standard family; handled by the self-dual or count comparison",
-    "std*": "dual standard family; handled with its dual partner",
-    "alt": "alternating power; equal-norm weight analysis",
-    "sym": "symmetric power; maximal-norm rigidity",
-    "spin": "spin; conjugation parity analysis",
-    "half-spin": "half-spin; conjugation parity analysis",
-    "minuscule": "27-dimensional minuscule pair; parity argument",
-    "alt^3(std)-primitive": "14-dimensional symplectic fundamental; "
-                            "self-dual summand analysis",
-    "short-fundamental": "7-dimensional short fundamental; excluded by the "
-                         "7-divisibility gate",
-}
-
-
-def _note_for(label: str) -> str:
-    if label in _CATALOG_NOTES:
-        return _CATALOG_NOTES[label]
-    if label.startswith("alt^"):
-        return _CATALOG_NOTES["alt"]
-    if label.startswith("sym^"):
-        return _CATALOG_NOTES["sym"]
-    return "catalog entry"
-
-
-@record
-class AllowedPair:
-    stype: SimpleType
-    hw: Coords
-    dim: int
-    label: str
-    note: str
-
-
-@record
-class AllowedPairsReport:
-    n: int
-    gate_reasons: tuple[str, ...]
-    pairs: tuple[AllowedPair, ...]
-
-    @property
-    def gate_passed(self) -> bool:
-        return not self.gate_reasons
-
-
-def allowed_pairs(n: int) -> AllowedPairsReport:
-    """All catalog entries of dimension exactly n, behind divisibility gates.
-
-    When 7 | n or 4 | n the report carries the violated gates and the pairs
-    that would otherwise be admitted, so callers can surface a diagnostic
-    instead of silently filtering.  n above 6000 raises CaseError: the scan
-    reads the catalog of every classical rank up to about n and builds the
-    coordinates of each entry of dimension at most n, so its time grows like
-    n^2 (1.7 s cold at n = 6000 on a 2-core host, 8.6 s at n = 16000).
-    """
-    if n < 1:
-        raise CaseError("n must be positive")
-    if n > 6000:
-        raise CaseError(f"n must be at most 6000, got {n}")
-    reasons = []
-    if n % 7 == 0:
-        reasons.append("7 divides n")
-    if n % 4 == 0:
-        reasons.append("4 divides n")
-
-    pairs = []
-
-    def admit(stype: SimpleType) -> bool:
-        """Add stype's entries of dimension n; whether it has any up to n."""
-        entries = multiplicity_free_catalog(stype, max_dim=n)
-        pairs.extend(AllowedPair(stype, e.hw, e.dim, e.label, _note_for(e.label))
-                     for e in entries if e.dim == n)
-        return bool(entries)
-
-    # Each family's smallest catalog dimension grows with the rank, so the
-    # first rank with no entry up to n ends the family.
-    for family, m in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
-        while admit(SimpleType(family, m)):
-            m += 1
-    for stype in (SimpleType("E", 6), SimpleType("E", 7), SimpleType("G", 2)):
-        admit(stype)
-    pairs.sort(key=lambda p: (p.stype.family, p.stype.rank, p.hw))
-    return AllowedPairsReport(n=n, gate_reasons=tuple(reasons),
-                              pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ from charlattice import charmatch
 from charlattice.abmultiset import (AbGroup, Decomposition, GroupMultiset,
                                     factorization_count_bound, factorizations,
                                     multiset_product)
+from charlattice.catalog import allowed_pairs, multiplicity_free_catalog
 from charlattice.charmatch import (alt_power_stats, max_norm_weights,
                                    same_formal_character)
 from charlattice.goursat import verify_goursat_lemma
 from charlattice.linalg import rank as mat_rank
 from charlattice.reps import (HighestWeight, SemisimpleAlgebra, direct_sum,
-                              dual_highest_weight, irreducible_character,
-                              multiplicity_free_catalog, trivial_character,
+                              dual_highest_weight, irreducible_character, trivial_character,
                               weyl_dimension)
-from charlattice.rootsys import (SimpleType, equal_rank_subsystems, reflect_coords,
-                                 weyl_orbit)
+from charlattice.rootsys import SimpleType, reflect_coords, weyl_orbit
+from charlattice.subsystems import equal_rank_subsystems
 from charlattice.verifycli import cases
 
 from factor_reference import reference_key
@@ -113,10 +113,10 @@ def test_criterion_05_even_rank_selfdual_contradiction():
 def test_criterion_06_divisibility_gates_and_27():
     start = time.monotonic()
     for n in (7, 20, 28, 56, 70):
-        report = cases.allowed_pairs(n)
+        report = allowed_pairs(n)
         assert not report.gate_passed, n
         assert any("7" in r or "4" in r for r in report.gate_reasons)
-    report = cases.allowed_pairs(27)
+    report = allowed_pairs(27)
     assert report.gate_passed
     got = {(str(p.stype), p.hw) for p in report.pairs}
     assert got == {

@@ -49,13 +49,17 @@ from charlattice.verifycli.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(["samechar", sys.argv[2], sys.argv[2]])
     main(["factorize", sys.argv[3], "--profile", "2,3"])
+    main(["subsystems", "B3"])
+    main(["multfree", "A3", "--max-dim", "20"])
 print(" ".join(sorted({span[0] for span in tracer.spans})))
 """
 
 
 def test_traced_commands_record_their_layers(tmp_path):
     """Names a command imports when it runs still resolve to the wrappers
-    spans.install put on their home modules."""
+    spans.install put on their home modules, also where LAYERS names a
+    function under the module it moved out of (rootsys.equal_rank_subsystems
+    lives in subsystems, reps.multiplicity_free_catalog in catalog)."""
     char = tmp_path / "a1.char"
     char.write_text("algebra: A1\nweights:\n-1 1\n1 1\n", encoding="utf-8")
     grid = tmp_path / "grid.mset"
@@ -69,7 +73,8 @@ def test_traced_commands_record_their_layers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert {"verifycli.main", "verifycli.read_character_file",
             "charmatch.same_formal_character",
-            "abmultiset.factorizations"} <= set(proc.stdout.split())
+            "abmultiset.factorizations", "rootsys.equal_rank_subsystems",
+            "reps.multiplicity_free_catalog"} <= set(proc.stdout.split())
 
 
 def test_benchmark_unit_tests_pass():

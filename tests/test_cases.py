@@ -13,16 +13,17 @@ from functools import lru_cache
 
 import pytest
 
-from charlattice import charmatch, reps
+from charlattice import catalog, charmatch, reps
+from charlattice.catalog import allowed_pairs, enumerate_irreps_up_to_dim
 from charlattice.charmatch import alt_power_stats, char_inner_product, same_formal_character
 from charlattice.linalg import dot, matvec
 from charlattice.reps import (FormalCharacter, SemisimpleAlgebra, direct_sum,
-                              enumerate_irreps_up_to_dim, irreducible_character, weight_multiset)
+                              irreducible_character, weight_multiset)
 from charlattice.rootsys import SimpleType, build_root_system, reflect_coords, weyl_orbit
 from charlattice.verifycli import cases as cases_module
 from charlattice.verifycli.cases import (_CASES, CaseError, _faithful_sums, _partitions,
-                                         _signed_basis, _so_standard, allowed_pairs,
-                                         default_suite, run_case)
+                                         _signed_basis, _so_standard, default_suite,
+                                         run_case)
 
 
 def reference_faithful_sums(alg, total):
@@ -340,8 +341,9 @@ def test_battery_computes_each_simple_factor_dimension_once(monkeypatch):
         return memo(stype, hw)
 
     monkeypatch.setattr(reps, "_factor_dimension", ask)
-    monkeypatch.setattr(reps, "_enumerate_simple",
-                        lru_cache(maxsize=None)(reps._enumerate_simple.__wrapped__))
+    monkeypatch.setattr(catalog, "_factor_dimension", ask)
+    monkeypatch.setattr(catalog, "_enumerate_simple",
+                        lru_cache(maxsize=None)(catalog._enumerate_simple.__wrapped__))
     cases_module._so_sweep.cache_clear()
     for case_id, params in default_suite(0):
         assert run_case(case_id, params).verdict

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charlattice import rootsys
+from charlattice import catalog, reps, rootsys, subsystems
 from charlattice.goursat import MAX_FACTORS
 from charlattice.reps import DEFAULT_DIMENSION_BOUND
 from charlattice.verifycli import cli
@@ -79,7 +79,7 @@ def test_multfree_refuses_rank_above_cap_before_the_catalog(capsys, monkeypatch)
     def refused(*args, **kwargs):
         raise AssertionError(f"catalog built for {args}")
 
-    monkeypatch.setattr(cli, "multiplicity_free_catalog", refused)
+    monkeypatch.setattr(catalog, "multiplicity_free_catalog", refused)
     for name in ("D6001", "D14400", "A100000000"):
         code, out, err = run(capsys, "multfree", name)
         assert (code, out) == (2, "")
@@ -106,7 +106,7 @@ def test_multfree_refuses_max_dim_above_the_dimension_bound(capsys, monkeypatch)
     def refused(*args, **kwargs):
         raise AssertionError(f"catalog built for {args}")
 
-    monkeypatch.setattr(cli, "multiplicity_free_catalog", refused)
+    monkeypatch.setattr(catalog, "multiplicity_free_catalog", refused)
     for name in ("A2000", "D5"):
         code, out, err = run(capsys, "multfree", name, "--max-dim", str(DEFAULT_DIMENSION_BOUND + 1))
         assert (code, out) == (2, "")
@@ -244,8 +244,8 @@ def test_subsystems_golden(capsys, name):
 def test_subsystems_refuses_rank_above_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "subsystems", "A20")
     assert (code, out) == (0, "A20\n")
-    built, build = [], rootsys.build_root_system
-    monkeypatch.setattr(rootsys, "build_root_system",
+    built, build = [], subsystems.build_root_system
+    monkeypatch.setattr(subsystems, "build_root_system",
                         lambda stype: built.append(stype) or build(stype))
     for name in ("A21", "B21", "D300"):
         code, out, err = run(capsys, "subsystems", name)
@@ -320,6 +320,21 @@ def test_verify_forwards_seed_to_cases_that_take_one(capsys):
     assert out.splitlines()[0] == "case e6-parity (no inputs)"
 
 
+HELP_GOLDEN = json.loads((GOLDEN / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDEN))
+def test_help_golden(capsys, monkeypatch, argv):
+    """`--help`, each `<command> --help` and `verify -h`, byte for byte at a
+    fixed width: main loads a command's handler only after parsing, so the
+    parser alone writes these."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDEN[argv]
+
+
 def test_verify_help_names_every_case(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -339,7 +354,7 @@ def test_readme_table_lists_every_domain_and_cap():
     for case_id, domain in _CASES.items():
         terms = _domain_terms(domain) or ["no parameters"]
         assert all(term in rows[f"`verify {case_id}`"] for term in terms), case_id
-    assert f"rank <= {rootsys.MAX_SUBSYSTEM_RANK}" in rows["`subsystems`"]
+    assert f"rank <= {subsystems.MAX_SUBSYSTEM_RANK}" in rows["`subsystems`"]
     assert f"rank <= {cli.MAX_CATALOG_RANK}" in rows["`multfree`"]
     assert f"max-dim <= {DEFAULT_DIMENSION_BOUND}" in rows["`multfree --max-dim`"]
     assert f"default {DEFAULT_DIMENSION_BOUND}" in rows["`weights`"]
@@ -439,7 +454,7 @@ def test_weights_refuses_bound_above_the_dimension_bound(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError(f"weights built for {args}")
 
-    monkeypatch.setattr(cli, "irreducible_character", refused)
+    monkeypatch.setattr(reps, "irreducible_character", refused)
     for weight in ("2", "99999", "1" + "0" * 4000):
         code, out, err = run(capsys, "weights", "A1", weight,
                              "--bound", str(DEFAULT_DIMENSION_BOUND + 1))

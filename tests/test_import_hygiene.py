@@ -6,6 +6,11 @@ about 4 ms more, `json` about 3 ms and `charlattice.linalg` about 3 ms, so
 none of them is on the path of a query that does not need it.  Each check
 compares against a bare interpreter's modules, so a module that `site`
 already loads does not count against the library.
+
+A query that finds no bytecode also compiles every module it loads, so each
+command loads only its own code: the subsystem search (`subsystems`), the
+catalog and the enumeration (`catalog`) and the other commands' handlers
+(`verifycli.commands`) are off the path of a dim or weights query.
 """
 
 import ast
@@ -23,7 +28,9 @@ SRC = ROOT / "src"
 LOADED = "import sys{stmt}; print(*sorted(sys.modules), sep='\\n', file=sys.stderr)"
 
 
-DIM_QUERY = 'from charlattice.verifycli.cli import main; assert main(["dim", "E8", "w1"]) == 0'
+QUERY = 'from charlattice.verifycli.cli import main; assert main({argv!r}) == 0'
+DIM_QUERY = QUERY.format(argv=["dim", "E8", "w1"])
+WEIGHTS_QUERY = QUERY.format(argv=["weights", "A2", "1,1"])
 
 
 @functools.cache
@@ -41,7 +48,7 @@ def modules_after(stmt: str) -> frozenset[str]:
 def test_cli_import_loads_neither_dataclasses_nor_fractions():
     bare = modules_after("")
     cli = modules_after("from charlattice.verifycli.cli import main")
-    assert "charlattice.rootsys" in cli
+    assert "charlattice.verifycli.cli" in cli
     assert {"dataclasses", "inspect", "fractions"} & (cli - bare) == set()
 
 
@@ -56,6 +63,30 @@ def test_dim_query_loads_no_linear_algebra():
     query = modules_after(DIM_QUERY)
     assert "charlattice.rootsys" in query
     assert "charlattice.linalg" not in query
+
+
+def test_dim_and_weights_queries_compile_only_their_own_code():
+    for stmt in (DIM_QUERY, WEIGHTS_QUERY):
+        query = modules_after(stmt)
+        assert {"charlattice.rootsys", "charlattice.reps"} <= query
+        assert {"charlattice.subsystems", "charlattice.catalog",
+                "charlattice.verifycli.commands"} & query == set()
+
+
+def test_factorize_query_loads_no_root_datum(tmp_path):
+    grid = tmp_path / "grid.mset"
+    grid.write_text("".join(f"{x} {y}\n" for x in range(2) for y in range(3)),
+                    encoding="utf-8")
+    query = modules_after(QUERY.format(argv=["factorize", str(grid), "--profile", "2,3"]))
+    assert {"charlattice.abmultiset", "charlattice.verifycli.commands"} <= query
+    assert {"charlattice.rootsys", "charlattice.reps"} & query == set()
+
+
+def test_allowed_pairs_query_loads_no_verification_case():
+    query = modules_after(QUERY.format(argv=["allowed-pairs", "27"]))
+    assert "charlattice.catalog" in query
+    assert {"charlattice.verifycli.cases", "charlattice.charmatch", "charlattice.linalg",
+            "charlattice.abmultiset", "charlattice.goursat"} & query == set()
 
 
 def test_every_module_loads_without_dataclasses():

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from charlattice.reps import SemisimpleAlgebra
 from charlattice.verifycli.charfile import CharFileError, parse_character
-from charlattice.verifycli.cli import UsageError, _parse_hw, _read_multiset, main
+from charlattice.verifycli.cli import UsageError, _parse_hw, main
+from charlattice.verifycli.commands import _read_multiset
 from test_charfile import emit
 
 ALGEBRAS = ["A1", "A2", "A1+A1", "B2", "G2", "C3", "A2+A1", "E9", "A0", "X3", "a2",

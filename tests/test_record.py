@@ -19,14 +19,14 @@ from pathlib import Path
 import pytest
 
 from charlattice.abmultiset import AbGroup, Decomposition, GroupMultiset
+from charlattice.catalog import allowed_pairs, multiplicity_free_catalog
 from charlattice.charmatch import CharIsomorphism, alt_power_stats, max_norm_weights
 from charlattice.goursat import verify_goursat_lemma
 from charlattice.reps import (AlgebraMismatchError, FormalCharacter, HighestWeight,
-                              SemisimpleAlgebra, irreducible_character,
-                              multiplicity_free_catalog)
-from charlattice.rootsys import (CartanTypeError, SimpleType, build_root_system,
-                                 equal_rank_subsystems)
-from charlattice.verifycli.cases import CaseReport, Step, allowed_pairs
+                              SemisimpleAlgebra, irreducible_character)
+from charlattice.rootsys import CartanTypeError, SimpleType, build_root_system
+from charlattice.subsystems import equal_rank_subsystems
+from charlattice.verifycli.cases import CaseReport, Step
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -6,7 +6,7 @@ finds every function that calls itself by name (or through self/cls, for a
 method); each allowed one is listed with the bound on its depth.  A nested
 function that calls itself holds itself through its closure, a reference
 cycle that keeps everything it reaches alive until the garbage collector
-runs.  The enumerations of reps, goursat and abmultiset therefore run level
+runs.  The enumerations of catalog, goursat and abmultiset therefore run level
 by level, cases._partitions is a module-level generator, and the one such
 closure left, cases._faithful_sums.rec, drops its own name when done.
 """
@@ -15,7 +15,7 @@ import ast
 import gc
 from pathlib import Path
 
-from charlattice import goursat, reps
+from charlattice import catalog, goursat
 from charlattice.abmultiset import AbGroup, GroupMultiset, factorizations, multiset_product
 from charlattice.reps import SemisimpleAlgebra
 from charlattice.rootsys import SimpleType
@@ -94,7 +94,7 @@ def test_only_one_nested_function_calls_itself():
 
 def test_recursive_closures_leave_no_cyclic_garbage():
     """One call each of the enumerations that were once self-naming closures,
-    reps._enumerate_simple, reps.enumerate_irreps_up_to_dim,
+    catalog._enumerate_simple, catalog.enumerate_irreps_up_to_dim,
     goursat._compatible_partitions and abmultiset.factorizations, and of
     cases._partitions and cases._faithful_sums, with the caches cleared so
     that each runs, and the collector off: it then finds nothing to
@@ -109,11 +109,11 @@ def test_recursive_closures_leave_no_cyclic_garbage():
     two, three = plane((0, 0), (1, 0)), plane((0, 0), (0, 1), (0, 3))
     pair = multiset_product(two, three)
     triple = multiset_product(pair, plane((0, 0), (5, 7)))
-    reps._enumerate_simple.cache_clear()
+    catalog._enumerate_simple.cache_clear()
     gc.collect()
     gc.disable()
     try:
-        irreps = reps.enumerate_irreps_up_to_dim(alg, 9)
+        irreps = catalog.enumerate_irreps_up_to_dim(alg, 9)
         assert len(cases._faithful_sums(alg, irreps, 9)) > 0
         assert len(list(cases._partitions(6))) == 11
         assert len(list(goursat._compatible_partitions((a2, a2, a2)))) == 5

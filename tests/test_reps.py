@@ -17,14 +17,15 @@ from pathlib import Path
 import pytest
 
 from charlattice import reps
+from charlattice.catalog import (enumerate_irreps_up_to_dim, multiplicity_free_catalog,
+                                 restrict_to_subsystem)
 from charlattice.reps import (DimensionBoundError, FormalCharacter,
                               HighestWeight, SemisimpleAlgebra, direct_sum,
-                              dual_highest_weight, enumerate_irreps_up_to_dim,
-                              irreducible_character, multiplicity_free_catalog,
-                              restrict_to_subsystem, trivial_character,
+                              dual_highest_weight, irreducible_character, trivial_character,
                               weight_multiset, weyl_dimension, _simple_weight_multiset)
 from charlattice.rootsys import (SimpleType, build_root_system, pairing, reflect_coords,
-                                 root_weight, type_a_equal_rank)
+                                 root_weight)
+from charlattice.subsystems import type_a_equal_rank
 
 from kostka_oracle import content_of, hook_content_dimension, kostka, partition_of
 from weyl_character_oracle import check_weight_multiset, weyl_group_order, weyl_shifts

@@ -14,15 +14,16 @@ from hypothesis import strategies as st
 from ambient_oracle import (all_roots, ambient_root_system, dot, gram,
                             reflection_closure, simple_roots_for)
 from ambient_oracle import pairing as ambient_pairing
-from charlattice import rootsys
-from charlattice.reps import (HighestWeight, SemisimpleAlgebra, enumerate_irreps_up_to_dim,
-                              irreducible_character, weyl_dimension)
-from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, ClassificationError,
-                                 SimpleType, build_root_system,
-                                 classify_simple_system, coroot,
-                                 diagram_automorphisms, dominant_representative,
-                                 equal_rank_subsystems, pairing, reflect_coords,
-                                 type_a_equal_rank, weyl_orbit)
+from charlattice import rootsys, subsystems
+from charlattice.catalog import enumerate_irreps_up_to_dim
+from charlattice.reps import (HighestWeight, SemisimpleAlgebra, irreducible_character,
+                              weyl_dimension)
+from charlattice.rootsys import (MAX_ROOT_DATUM_RANK, CartanTypeError, SimpleType,
+                                 build_root_system, coroot, dominant_representative, pairing,
+                                 reflect_coords, weyl_orbit)
+from charlattice.subsystems import (ClassificationError, classify_simple_system,
+                                    diagram_automorphisms, equal_rank_subsystems,
+                                    type_a_equal_rank)
 import subsystem_oracle
 from weyl_character_oracle import orbit_closure, reflect, weyl_group_order
 
@@ -285,14 +286,14 @@ def test_equal_rank_subsystems_pinned(name):
 def test_subsystem_search_types_only_the_changed_block(monkeypatch, name, calls):
     # Classifying each candidate whole, kept components included, made 546
     # and 2,711 component matches; the counts are deterministic.
-    match = rootsys._match_component
+    match = subsystems._match_component
     made = []
 
     def counted(*args):
         made.append(args)
         return match(*args)
 
-    monkeypatch.setattr(rootsys, "_match_component", counted)
+    monkeypatch.setattr(subsystems, "_match_component", counted)
     equal_rank_subsystems(SimpleType.parse(name))
     assert len(made) == calls
 
