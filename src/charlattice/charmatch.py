@@ -17,9 +17,7 @@ matrices, norm2, char_inner_product).
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
-from functools import cached_property
 from operator import neg
 
 from . import linalg
@@ -58,7 +56,7 @@ def char_inner_product(fc: FormalCharacter) -> Mat:
     """Matrix, in fundamental coordinates, of the inner product the character
     induces on weight space: the dual of its sum-of-squares form.  Needs a
     faithful character."""
-    det, adj, _ = _match_data(fc).faithful_form()
+    det, adj, _ = _faithful_form(fc)
     return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
@@ -115,89 +113,65 @@ def _invariants(weights) -> tuple[int, tuple[tuple[int, int], ...]]:
     return zero, tuple(sorted(pairs))
 
 
-class _MatchData:
-    """What the matching search reads of one character, computed once: the
-    distinct weights, their multiplicities and the invariants, and on first
-    use the induced form's data and the search basis.  It keeps the weights,
-    not the character, so its entry in the weak-keyed memo goes with the
-    character."""
+def _form(fc: FormalCharacter) -> tuple[int, Mat, list[Coords], list[int]]:
+    """det(M) > 0 and adj(M) for the induced form M on the weights' span,
+    the span coordinates C of the distinct weights and their integer norms
+    c adj(M) c.  A Gram entry is _form_entry(adj(M), c_i, c_k) over det(M),
+    computed where the search reads it; nothing n x n is built.
 
-    def __init__(self, fc: FormalCharacter) -> None:
-        self.weights = fc.weights
-        self.algebra = fc.algebra
-        self.rank = fc.algebra.rank
-        self.distinct = fc.distinct()
-        self.mults = [m for _, m in fc.weights]
-        self.invariants = _invariants(fc.weights)
-
-    @cached_property
-    def form(self) -> tuple[int, Mat, list[Coords], list[int]]:
-        """det(M) > 0 and adj(M) for the induced form M on the weights' span,
-        the span coordinates C of the distinct weights and their integer
-        norms c adj(M) c.  A Gram entry is _form_entry(adj(M), c_i, c_k) over
-        det(M), computed where the search reads it; nothing n x n is built.
-
-        With p the pivot columns of the distinct-weight matrix and R the rows
-        of its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so
-        its entries at p are its coordinates c in the basis R.  The
-        rank x rank moment matrix sum mult w w^T has the kernel of the weight
-        matrix, so its columns depend on each other as the weights' columns
-        do: p is read off it, and M = sum mult c c^T is its block on p.  For a
-        faithful character p is every column, C is the weights themselves and
-        M is in fundamental coordinates.
-        """
-        full = _moment_matrix(self.weights, self.rank)
-        pivots = linalg.pivot_columns(full)
-        coords = (list(self.distinct) if len(pivots) == self.rank
-                  else [tuple(w[p] for p in pivots) for w, _ in self.weights])
-        det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
-        return det, adj, coords, [_form_entry(adj, c, c) for c in coords]
-
-    def faithful_form(self) -> tuple[int, Mat, list[int]]:
-        """det(M), adj(M) in fundamental coordinates and the integer norms of
-        `form`; raises DegenerateFormError unless the character is faithful."""
-        det, adj, _, norms = self.form
-        if len(adj) != self.rank:
-            split = [self.algebra.split_coords(w) for w, _ in self.weights]
-            trivial = [str(st) for i, st in enumerate(self.algebra.factors)
-                       if not any(any(parts[i]) for parts in split)]
-            detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
-            raise DegenerateFormError(f"character of {self.algebra} is not faithful{detail}")
-        return det, adj, norms
-
-    @cached_property
-    def order(self) -> list[int]:
-        """The distinct weights' indices in (norm, weight) order."""
-        norms, distinct = self.form[3], self.distinct
-        return sorted(range(len(distinct)), key=lambda i: (norms[i], distinct[i]))
-
-    @cached_property
-    def basis(self) -> tuple[list[int], int, Mat, dict[int, Coords]]:
-        """The positions of `order` whose weight is independent of the weights
-        before it; det(B) > 0 and adj(B) for the columns B of those weights,
-        completed with unit vectors to a basis; and at every other position,
-        the integer coefficients a = adj(B) w of its weight over the basis
-        positions before it, so w = sum a_k B_k / det(B)."""
-        ws = [self.distinct[i] for i in self.order]
-        picked = linalg.pivot_columns(linalg.transpose(ws))
-        full = linalg.extend_to_basis([ws[p] for p in picked], self.rank)
-        det, adj = linalg.det_adjugate(linalg.transpose(full))
-        if det < 0:
-            det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
-        coeffs = {p: linalg.matvec(adj[:sum(k < p for k in picked)], w)
-                  for p, w in enumerate(ws) if p not in picked}
-        return picked, det, adj, coeffs
+    With p the pivot columns of the distinct-weight matrix and R the rows of
+    its reduced echelon form, each weight is w = sum_k w[p_k] R_k, so its
+    entries at p are its coordinates c in the basis R.  The rank x rank
+    moment matrix sum mult w w^T has the kernel of the weight matrix, so its
+    columns depend on each other as the weights' columns do: p is read off
+    it, and M = sum mult c c^T is its block on p.  For a faithful character
+    p is every column, C is the weights themselves and M is in fundamental
+    coordinates.
+    """
+    rank = fc.algebra.rank
+    full = _moment_matrix(fc.weights, rank)
+    pivots = linalg.pivot_columns(full)
+    coords = (list(fc.distinct()) if len(pivots) == rank
+              else [tuple(w[p] for p in pivots) for w, _ in fc.weights])
+    det, adj = linalg.det_adjugate([[full[i][j] for j in pivots] for i in pivots])
+    return det, adj, coords, [_form_entry(adj, c, c) for c in coords]
 
 
-# Weak keys: an entry goes with its character.
-_MATCH_DATA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _faithful_form(fc: FormalCharacter) -> tuple[int, Mat, list[int]]:
+    """det(M), adj(M) in fundamental coordinates and the integer norms of
+    `_form`; raises DegenerateFormError unless the character is faithful."""
+    det, adj, _, norms = _form(fc)
+    alg = fc.algebra
+    if len(adj) != alg.rank:
+        split = [alg.split_coords(w) for w, _ in fc.weights]
+        trivial = [str(st) for i, st in enumerate(alg.factors)
+                   if not any(any(parts[i]) for parts in split)]
+        detail = f"; factors acting trivially: {', '.join(trivial)}" if trivial else ""
+        raise DegenerateFormError(f"character of {alg} is not faithful{detail}")
+    return det, adj, norms
 
 
-def _match_data(fc: FormalCharacter) -> _MatchData:
-    data = _MATCH_DATA.get(fc)
-    if data is None:
-        data = _MATCH_DATA[fc] = _MatchData(fc)
-    return data
+def _basis(ws: list[Coords], rank: int) -> tuple[list[int], int, Mat, dict[int, Coords]]:
+    """The positions of ws whose weight is independent of the weights before
+    it; det(B) > 0 and adj(B) for the columns B of those weights, completed
+    with unit vectors to a basis; and at every other position, the integer
+    coefficients a = adj(B) w of its weight over the basis positions before
+    it, so w = sum a_k B_k / det(B).
+
+    One elimination picks both: a column of ws followed by the unit vectors
+    pivots exactly when it is independent of the columns before it, so the
+    pivots below len(ws) are the independent weights, and the unit vectors
+    that pivot complete them in extend_to_basis's order.
+    """
+    family = list(ws) + list(linalg.identity(rank))
+    cols = linalg.pivot_columns(linalg.transpose(family))
+    picked = [c for c in cols if c < len(ws)]
+    det, adj = linalg.det_adjugate(linalg.transpose([family[c] for c in cols]))
+    if det < 0:
+        det, adj = -det, tuple(tuple(-x for x in row) for row in adj)
+    coeffs = {p: linalg.matvec(adj[:sum(k < p for k in picked)], w)
+              for p, w in enumerate(ws) if p not in picked}
+    return picked, det, adj, coeffs
 
 
 def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
@@ -205,11 +179,12 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
 
     Returns a CharIsomorphism witness or None.  Characters that differ in
     size, rank, number of distinct weights, zero-weight multiplicity or the
-    (m(w), m(-w)) pair list are rejected before any form data is built; each
-    character's match data is computed once and kept while it lives.
-    Distinct source weights are placed in (norm, weight) order by an
-    iterative depth-first search.  A weight independent of those before it is
-    a basis weight: its candidates are the targets of its multiplicity and
+    (m(w), m(-w)) pair list are rejected before any form data is built;
+    each side's form data (one form when the sides are equal) and the
+    source's search basis are then computed once for the call.  Distinct
+    source weights are placed in (norm, weight) order by an iterative
+    depth-first search.  A weight independent of those before it is a basis
+    weight: its candidates are the targets of its multiplicity and
     norm whose Gram entries against the basis targets placed so far are its
     own.  Each induced form is positive definite on its span, so the placed
     basis fixes a linear isometry T, and any other weight w can only go to
@@ -218,23 +193,25 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
     """
     if fc1.size != fc2.size or fc1.algebra.rank != fc2.algebra.rank:
         return None
-    data1, data2 = _match_data(fc1), _match_data(fc2)
-    d1, d2 = data1.distinct, data2.distinct
-    if len(d1) != len(d2) or data1.invariants != data2.invariants:
+    d1, d2 = fc1.distinct(), fc2.distinct()
+    if len(d1) != len(d2) or _invariants(fc1.weights) != _invariants(fc2.weights):
         return None
-    det1, adj1, coords1, norms1 = data1.form
-    det2, adj2, coords2, norms2 = data2.form
+    form1 = _form(fc1)
+    det1, adj1, coords1, norms1 = form1
+    # A self-dual character equals its negation: one form serves both sides.
+    det2, adj2, coords2, norms2 = form1 if fc2 == fc1 else _form(fc2)
     # Norms and Gram entries are integers over each side's det(M): compare
     # them across the sides by cross-multiplying.
-    keys1 = [(m, x * det2) for m, x in zip(data1.mults, norms1)]
-    keys2 = [(m, x * det1) for m, x in zip(data2.mults, norms2)]
+    keys1 = [(m, x * det2) for (_, m), x in zip(fc1.weights, norms1)]
+    keys2 = [(m, x * det1) for (_, m), x in zip(fc2.weights, norms2)]
     if len(adj1) != len(adj2) or sorted(keys1) != sorted(keys2):
         return None
 
-    order1 = data1.order
-    picked, det, adj, coeffs = data1.basis
+    rank = fc1.algebra.rank
+    order1 = sorted(range(len(d1)), key=lambda i: (norms1[i], d1[i]))
+    picked, det, adj, coeffs = _basis([d1[i] for i in order1], rank)
     targets: dict[tuple, list[int]] = {}
-    for j in data2.order:
+    for j in sorted(range(len(d2)), key=lambda j: (norms2[j], d2[j])):
         targets.setdefault(keys2[j], []).append(j)
     index2 = {w: j for j, w in enumerate(d2)}
 
@@ -250,18 +227,18 @@ def same_formal_character(fc1: FormalCharacter, fc2: FormalCharacter):
                 _form_entry(adj2, coords2[j], c) * det1 == g for g, c in want))
             return
         # The forced image T(w); only the zero weight precedes every basis weight.
-        cols = list(zip(*(d2[placed[k]] for k in picked[:len(a)]))) or [()] * data1.rank
+        cols = list(zip(*(d2[placed[k]] for k in picked[:len(a)]))) or [()] * rank
         sums = [linalg.dot(a, col) for col in cols]
         if any(x % det for x in sums):
             return
         j = index2.get(tuple(x // det for x in sums))
-        if j is not None and data2.mults[j] == data1.mults[i]:
+        if j is not None and fc2.weights[j][1] == fc1.weights[i][1]:
             yield j
 
     placed = first_placement(len(d1), fits)
     if placed is None:
         return None
-    full = linalg.extend_to_basis([d2[placed[p]] for p in picked], data1.rank)
+    full = linalg.extend_to_basis([d2[placed[p]] for p in picked], rank)
     witness = CharIsomorphism(source=fc1, target=fc2,
                               scaled=linalg.matmul(linalg.transpose(full), adj), den=det)
     if not witness.validate():
@@ -316,7 +293,7 @@ def max_norm_weights(fc: FormalCharacter) -> MaxNormRecord:
     type-A spanning bound, so callers interpret bound_ok for all-type-A
     algebras.
     """
-    det, _, norms = _match_data(fc).faithful_form()
+    det, _, norms = _faithful_form(fc)
     # det(M) > 0, so the integer norms w^T adj(M) w order as the norms do.
     top = max(norms)
     winners = tuple(w for (w, _), x in zip(fc.weights, norms) if x == top)

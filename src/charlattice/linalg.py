@@ -52,15 +52,16 @@ def _check_integers(rows: Sequence[Sequence]) -> None:
         raise TypeError("elimination takes integer rows only")
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)).
 
     The rows must hold ints only; any other entry raises TypeError.  Pivots
-    are taken left to right among the first ncols columns (all columns by
-    default), each from the first row at or below the current one with a
-    nonzero entry, and elimination stops once every row has a pivot.  Every
-    division is exact, because after k pivots each entry is a k x k minor of
-    the rows.
+    are taken left to right among the first ncols columns, each from the
+    first row at or below the current one with a nonzero entry, and
+    elimination stops once every row has a pivot.  Every division is exact,
+    because after k pivots each entry is a k x k minor of the rows; a row
+    with a zero in the pivot column is rescaled by p / d, so it is left as
+    it is when the pivot p equals the previous pivot d.
 
     Returns the integer rows, their pivot columns and d: row i has its pivot
     in column pivots[i], every pivot entry equals d, and dividing the rows by
@@ -70,8 +71,6 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
     """
     _check_integers(rows)
     work = [list(row) for row in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     d, sign = 1, 1
     for c in range(ncols):
@@ -92,7 +91,7 @@ def _eliminate(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list
             f = row[c]
             if f:
                 work[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
-            else:
+            elif p != d:
                 work[i] = [p * x // d for x in row]
         d = p
         pivots.append(c)

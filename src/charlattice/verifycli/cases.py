@@ -337,9 +337,9 @@ class _SoSweep:
     weight set is the distinct weights of weight_multiset, the library's one
     character builder, which checks the size against the Weyl dimension."""
 
-    def __init__(self, alg: SemisimpleAlgebra, ceiling: int) -> None:
+    def __init__(self, alg: SemisimpleAlgebra) -> None:
         self.alg = alg
-        self.irreps = enumerate_irreps_up_to_dim(alg, ceiling)
+        self.irreps = enumerate_irreps_up_to_dim(alg, 2 * alg.rank + 1)
         self.dims = [d for _, d in self.irreps]
         ranks = [f.rank for f in alg.factors]
         self.chain_breaks: list[int] = []
@@ -386,7 +386,7 @@ class _SoSweep:
         return got
 
 
-# One sweep per algebra and ceiling 2r + 1, kept for the life of the process;
+# One sweep per algebra, kept for the life of the process;
 # the so-selfdual domain, m <= 16, bounds them to the 66 algebras of rank <= 8.
 _so_sweep = lru_cache(maxsize=None)(_SoSweep)
 
@@ -435,7 +435,7 @@ def case_so_selfdual(m: int) -> Outcome:
     chain_violations: set[str] = set()
 
     for alg in algebras:
-        sweep = _so_sweep(alg, m | 1)
+        sweep = _so_sweep(alg)
         irreps = sweep.irreps[:bisect_right(sweep.dims, m)]
         chain_violations.update(f"{alg}:{irreps[i][0]}"
                                 for i in sweep.chain_breaks if i < len(irreps))

@@ -9,12 +9,20 @@ A file names an algebra and lists weight rows:
 
 Weight rows hold the fundamental coordinates followed by the multiplicity.
 Lines starting with # and blank lines are ignored.  Every other line after
-`weights:` must be a weight row, so a section header there is refused.
+`weights:` must be a weight row, so a section header there is refused.  An
+algebra of rank above MAX_CHARACTER_RANK is refused before any weight row is
+read.
 """
 
 from __future__ import annotations
 
 from ..reps import FormalCharacter, SemisimpleAlgebra
+
+
+# The root-datum cap.  Matching eliminates rank x rank integer matrices, so
+# its time grows like the cube of the rank even for a file of two weights;
+# at this rank such a file answers in about 1 s.
+MAX_CHARACTER_RANK = 300
 
 
 class CharFileError(ValueError):
@@ -39,6 +47,9 @@ def parse_character(text: str) -> FormalCharacter:
     except ValueError as exc:
         raise CharFileError(f"line {lineno}: {exc}") from exc
     rank = alg.rank
+    if rank > MAX_CHARACTER_RANK:
+        raise CharFileError(
+            f"line {lineno}: rank {rank} of {alg} exceeds the character-file limit {MAX_CHARACTER_RANK}")
 
     if len(lines) < 2 or lines[1][1] != "weights:":
         raise CharFileError("expected a 'weights:' section after the algebra line")

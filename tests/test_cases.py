@@ -6,7 +6,6 @@ against a closed-form listing."""
 
 import itertools
 import math
-import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -77,7 +76,7 @@ def sweep_matches(alg, combo, m):
     """so-selfdual's decision on a sum of indices into
     enumerate_irreps_up_to_dim(alg, m), made by the sweep the case reads at
     m, whose irreducibles start with those."""
-    return cases_module._so_sweep(alg, m | 1).matches(combo, m)
+    return cases_module._so_sweep(alg).matches(combo, m)
 
 
 def first_failed_check(fc1, fc2):
@@ -110,7 +109,6 @@ def test_invariant_filter_keeps_every_so_selfdual_verdict(monkeypatch):
                       ("pair list", False): 28, ("none", True): 63}
     # the same sweep with the invariant check bypassed: the Gram search alone
     monkeypatch.setattr(charmatch, "_invariants", lambda weights: None)
-    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
     assert [same_formal_character(ref, cand) is not None
             for _, ref, _, _, cand in cases] == verdicts
     per_m = Counter(m for (m, *_), match in zip(cases, verdicts) if match)
@@ -138,7 +136,7 @@ def test_each_early_rejection_is_a_sum_with_no_witness(m, name, flats, rejection
     combo = tuple(sorted(index[flat] for flat in flats))
     assert combo in _faithful_sums(alg, irreps, m)
     # the weight sets the sweep reads, each None when a weight repeats
-    sweep = cases_module._so_sweep(alg, m | 1)
+    sweep = cases_module._so_sweep(alg)
     sets = [sweep._signed_sets(i) for i in combo]
     applies = {"multiplicity above 1": None in sets,
                "two summands share a weight": None not in sets and any(

@@ -10,11 +10,9 @@ answer is checked against a brute force over every bijection of distinct
 weights, with its own Fraction elimination.
 """
 
-import gc
 import itertools
 import json
 import sys
-import weakref
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -176,7 +174,7 @@ def test_match_witnesses_golden():
 
 def test_search_and_norms_stay_in_integers(monkeypatch):
     e7 = char("E7", (0, 0, 0, 0, 0, 0, 1))
-    det, adj, coords, norms = charmatch._match_data(e7).form
+    det, adj, coords, norms = charmatch._form(e7)
     assert len(adj) == 7 and type(det) is int and det > 0
     assert all(type(x) is int for rows in (adj, coords) for row in rows for x in row)
     assert all(type(x) is int and x > 0 for x in norms)
@@ -199,7 +197,6 @@ def test_search_and_norms_stay_in_integers(monkeypatch):
 
     monkeypatch.setattr(linalg, "dot", int_dot)
     monkeypatch.setattr(charmatch, "_form_entry", int_entry)
-    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
     assert len(max_norm_weights(char("A3", (2, 0, 0))).weights) == 4
     # the search, the witness and its check build no Fraction at all
     monkeypatch.setattr(charmatch, "Fraction", no_fraction)
@@ -236,14 +233,15 @@ def test_sparse_form_matches_dense_products():
     for fc in chars + [plane]:
         rank = fc.algebra.rank
         assert charmatch._moment_matrix(fc.weights, rank) == dense_moment_matrix(fc.weights, rank)
-        data = charmatch._match_data(fc)
-        det, adj, coords, norms = data.form
+        det, adj, coords, norms = charmatch._form(fc)
         assert norms == [dense_entry(adj, c, c) for c in coords]
-        basis = [coords[data.order[p]] for p in data.basis[0]]
+        order = sorted(range(len(coords)), key=lambda i: (norms[i], fc.weights[i][0]))
+        picked = charmatch._basis([fc.weights[i][0] for i in order], rank)[0]
+        basis = [coords[order[p]] for p in picked]
         assert len(basis) == len(adj)
         assert all(charmatch._form_entry(adj, x, y) == dense_entry(adj, x, y)
                    for x in basis for y in basis)
-    assert len(charmatch._match_data(plane).form[1]) == 2
+    assert len(charmatch._form(plane)[1]) == 2
     with pytest.raises(DegenerateFormError):
         max_norm_weights(plane)
 
@@ -258,7 +256,6 @@ def test_match_work_is_linear_in_the_distinct_weights(monkeypatch, name, hw, wor
     rank r, no n x n matrix."""
     fc = char(name, hw)
     dual = negate_character(fc)
-    monkeypatch.setattr(charmatch, "_MATCH_DATA", weakref.WeakKeyDictionary())
     calls = []
 
     def counted(fn):
@@ -477,39 +474,6 @@ def test_invariants_survive_unimodular_maps(pair):
     assert charmatch._invariants(image.weights) == charmatch._invariants(fc.weights)
     witness = same_formal_character(fc, image)
     assert witness is not None and witness.validate()
-
-
-def test_max_norm_weights_read_the_form_the_search_built(monkeypatch):
-    fc = char("B3", (1, 0, 1))
-    moment_matrix = charmatch._moment_matrix
-    built = []
-
-    def counted(weighted, dim):
-        built.append(weighted)
-        return moment_matrix(weighted, dim)
-
-    monkeypatch.setattr(charmatch, "_moment_matrix", counted)
-    # B3's irreducibles are self-dual: the negation is equal to fc and
-    # shares its match data
-    assert same_formal_character(fc, negate_character(fc)) is not None
-    assert built == [fc.weights]
-    max_norm_weights(fc)
-    char_inner_product(fc)
-    assert built == [fc.weights]
-
-
-def test_match_data_goes_with_its_character():
-    alg = SemisimpleAlgebra.parse("A3")
-    fc = FormalCharacter.from_counts(alg, {(7, -5, 3): 2, (-7, 5, -3): 2, (0, 0, 0): 1, (1, 9, 1): 1})
-    dual = negate_character(fc)
-    assert same_formal_character(fc, dual) is not None
-    assert fc in charmatch._MATCH_DATA and dual in charmatch._MATCH_DATA
-    held = len(charmatch._MATCH_DATA)
-    gone = weakref.ref(fc)
-    del fc, dual
-    gc.collect()
-    assert gone() is None
-    assert len(charmatch._MATCH_DATA) == held - 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from charlattice import catalog, reps, rootsys, subsystems
 from charlattice.goursat import MAX_FACTORS
 from charlattice.reps import DEFAULT_DIMENSION_BOUND
-from charlattice.verifycli import cli
+from charlattice.verifycli import charfile, cli
 from charlattice.verifycli.cases import _CASES, known_cases
 from charlattice.verifycli.cli import _domain_terms, build_parser, main
 
@@ -159,6 +159,29 @@ def test_samechar_reports_absence(capsys, tmp_path):
     code, out, _ = run(capsys, "samechar", str(a), str(b))
     assert code == 0
     assert out.strip() == "no witness"
+
+
+def test_samechar_refuses_a_rank_above_the_limit_at_once(capsys, tmp_path):
+    """A two-weight file +-e_1 above the limit is refused before its weights
+    are read; at the limit it is matched with itself by the identity."""
+    def two_weights(rank):
+        f = tmp_path / f"a{rank}.char"
+        rows = [" ".join([str(s)] + ["0"] * (rank - 1) + ["1"]) for s in (1, -1)]
+        f.write_text(f"algebra: A{rank}\nweights:\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        return str(f)
+
+    limit = charfile.MAX_CHARACTER_RANK
+    above = two_weights(limit + 1)
+    start = time.monotonic()
+    assert run(capsys, "samechar", above, above) == (
+        2, "", f"error: line 1: rank {limit + 1} of A{limit + 1} exceeds the "
+               f"character-file limit {limit}\n")
+    assert time.monotonic() - start < 1
+    at = two_weights(limit)
+    code, out, _ = run(capsys, "--format", "structured", "samechar", at, at)
+    assert code == 0
+    assert json.loads(out) == {"match": True, "witness": [
+        [int(i == j) for j in range(limit)] for i in range(limit)]}
 
 
 def test_samechar_refuses_an_involution_section(capsys, tmp_path):
@@ -360,6 +383,7 @@ def test_readme_table_lists_every_domain_and_cap():
     assert f"default {DEFAULT_DIMENSION_BOUND}" in rows["`weights`"]
     assert f"at most {MAX_FACTORS} factors" in rows["`verify goursat`"]
     assert f"rank <= {rootsys.MAX_ROOT_DATUM_RANK}" in rows["any command that builds a root datum"]
+    assert f"rank <= {charfile.MAX_CHARACTER_RANK}" in rows["`samechar`"]
 
 
 def test_verify_rejects_unknown_case(capsys):
